@@ -22,9 +22,13 @@
 //! window limits, or cross-group event routing shows up as a divergence
 //! here.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::assert_golden;
 use lidc_core::cluster::{LidcCluster, LidcClusterConfig};
+use lidc_ndn::crypto::{sha256, to_hex};
 use lidc_ndn::face::{FaceIdAlloc, LinkProps};
 use lidc_ndn::forwarder::{AppRx, Forwarder, ForwarderConfig, Rx};
 use lidc_ndn::name::Name;
@@ -265,6 +269,12 @@ fn sequential_batched_parallel_and_horizon_dispatch_agree() {
         horizon: false,
     });
     assert!(!sequential.replies.is_empty());
+    // Every mode below must equal `sequential`, so pinning its digest pins
+    // them all.
+    assert_golden(
+        "batch_equivalence_sha256",
+        &to_hex(&sha256(format!("{sequential:?}").as_bytes())),
+    );
     assert_eq!(sequential.replies, batched.replies, "reply sets diverge (batched)");
     assert_eq!(sequential.counters, batched.counters, "metrics diverge (batched)");
     assert_eq!(sequential.tables, batched.tables, "CS/PIT end-state diverges (batched)");

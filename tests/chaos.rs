@@ -24,6 +24,9 @@
 //! 9. a correlated region outage takes down two clusters at once, then
 //!    heals → LIDC completes everything via the surviving region.
 
+mod common;
+
+use common::assert_golden;
 use lidc::baseline::chaos::{
     assert_metrics_registered, comparison_table, run_baseline_chaos, run_lidc_chaos,
     ChaosConfig,
@@ -318,6 +321,7 @@ fn chaos_outcome_identical_across_threads_shards_horizon_and_reruns() {
         "LIDC chaos outcome depends on thread/shard count"
     );
     assert_eq!(lidc_serial.fingerprint(), lidc_again.fingerprint());
+    assert_golden("chaos5_standard_777_lidc", &lidc_serial.fingerprint());
     assert_eq!(
         lidc_serial.fingerprint(),
         run_lidc_chaos(&hz).fingerprint(),
@@ -341,6 +345,7 @@ fn chaos_outcome_identical_across_threads_shards_horizon_and_reruns() {
         run_baseline_chaos(&hz).fingerprint(),
         "baseline chaos outcome depends on the engine mode"
     );
+    assert_golden("chaos5_standard_777_baseline", &base_serial.fingerprint());
 }
 
 /// Scenario 6: *generated* random schedules, not just the hand-written
@@ -414,6 +419,11 @@ fn generated_schedules_are_deterministic_across_threads_and_shards() {
                  (horizon: {horizon_mode}) diverged"
             );
         }
+        assert_golden(&format!("chaos6_generated_{seed:x}_lidc"), reference);
+        assert_golden(
+            &format!("chaos6_generated_{seed:x}_baseline"),
+            &run_baseline_chaos(&cfg).fingerprint(),
+        );
     }
 }
 
@@ -528,6 +538,8 @@ fn byzantine_producer_is_contained_and_lidc_still_completes() {
     let cfg = ChaosConfig::byzantine(4242);
     let lidc = lidc_across_engine_matrix(&cfg);
     let baseline = run_baseline_chaos(&cfg);
+    assert_golden("chaos8_byzantine_4242_lidc", &lidc.fingerprint());
+    assert_golden("chaos8_byzantine_4242_baseline", &baseline.fingerprint());
     println!("{}", comparison_table(&[&lidc, &baseline]).to_markdown());
 
     assert_eq!(lidc.submitted, cfg.jobs);
@@ -564,6 +576,8 @@ fn region_outage_takes_down_the_region_together_and_heals() {
     let cfg = ChaosConfig::region_outage(31_415);
     let lidc = lidc_across_engine_matrix(&cfg);
     let baseline = run_baseline_chaos(&cfg);
+    assert_golden("chaos9_region_outage_31415_lidc", &lidc.fingerprint());
+    assert_golden("chaos9_region_outage_31415_baseline", &baseline.fingerprint());
     println!("{}", comparison_table(&[&lidc, &baseline]).to_markdown());
 
     assert_eq!(lidc.submitted, cfg.jobs);

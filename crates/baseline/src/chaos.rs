@@ -7,7 +7,7 @@
 //! every one of the controller's blind spots. This module stands up both
 //! worlds from one [`ChaosConfig`] — same seed, same job stream, same
 //! [`FaultSchedule`] — and reduces each run to a [`ChaosOutcome`] whose
-//! [`ChaosOutcome::fingerprint`] is bit-stable across thread counts and
+//! [`ChaosOutcome::fingerprint`] is bit-stable across shard counts and
 //! repeat runs (the determinism contract of [`lidc_simcore::faults`]).
 //!
 //! ## Fault mapping
@@ -75,19 +75,13 @@ pub struct ChaosConfig {
     pub nodes_per_cluster: u32,
     /// The shared fault schedule.
     pub schedule: FaultSchedule,
-    /// Worker threads for the sim (outcomes must not depend on this).
-    pub threads: usize,
-    /// PIT/CS shard count for every forwarder (ditto).
+    /// PIT/CS shard count for every forwarder (outcomes must not depend
+    /// on this).
     pub shards: usize,
     /// Gap between successive job submissions.
     pub submit_spacing: SimDuration,
     /// Hard stop for the run.
     pub horizon: SimDuration,
-    /// Run both worlds under the horizon scheduler
-    /// ([`Sim::set_horizon`]) instead of the legacy global-clock loop.
-    /// Outcomes must not depend on this — the engine modes are
-    /// bit-identical (see docs/ENGINE.md).
-    pub horizon_mode: bool,
 }
 
 impl ChaosConfig {
@@ -129,11 +123,9 @@ impl ChaosConfig {
             ],
             nodes_per_cluster: 2,
             schedule,
-            threads: 1,
             shards: 1,
             submit_spacing: SimDuration::from_secs(10),
             horizon: SimDuration::from_mins(60),
-            horizon_mode: false,
         }
     }
 
@@ -238,7 +230,7 @@ impl ChaosOutcome {
     /// A deterministic digest of everything observable: counts, latency,
     /// wasted work and the full fault timeline. Two runs of the same
     /// config must produce byte-identical fingerprints regardless of
-    /// thread count or shard count.
+    /// shard count.
     pub fn fingerprint(&self) -> String {
         format!(
             "{} submitted={} completed={} failed={} resubmits={} p99={:?} \
@@ -416,8 +408,6 @@ pub fn assert_metrics_registered(sim: &Sim) {
 /// Run the LIDC world under `cfg`'s schedule.
 pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut sim = Sim::new(cfg.seed);
-    sim.set_threads(cfg.threads);
-    sim.set_horizon(cfg.horizon_mode);
     // Round-robin placement mirrors the baseline controller's policy, so
     // the *only* architectural difference is who makes the decision.
     let overlay = Overlay::build(&mut sim, OverlayConfig {
@@ -543,8 +533,6 @@ fn baseline_hook(k8s: BTreeMap<String, (ActorId, Vec<String>)>) -> FaultHook {
 /// Run the centralized-controller world under the same schedule.
 pub fn run_baseline_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut sim = Sim::new(cfg.seed);
-    sim.set_threads(cfg.threads);
-    sim.set_horizon(cfg.horizon_mode);
     let alloc = FaceIdAlloc::new();
     let router = sim.spawn(
         "router",

@@ -479,67 +479,6 @@ fn bench_parallel_ingress(c: &mut Criterion) {
     g.finish();
 }
 
-/// Engine parallel same-instant dispatch: 8 Concurrent actors each receive
-/// a contiguous 64-message run at one instant (one wave of 8 runs), every
-/// message doing ~2µs of CPU work. `t1` executes the wave serially, `t4`
-/// on 4 pool workers — bit-identical results, wall-clock measured.
-fn bench_parallel_dispatch(c: &mut Criterion) {
-    use lidc_simcore::engine::{Actor, Concurrency, Ctx, Msg, Sim};
-    use lidc_simcore::rng::SplitMix64;
-
-    const ACTORS: usize = 8;
-    const MSGS: usize = 64;
-    const SPIN: u64 = 400;
-
-    struct Spinner {
-        acc: u64,
-    }
-    struct Spin(u64);
-    impl Actor for Spinner {
-        fn concurrency(&self) -> Concurrency {
-            Concurrency::Concurrent
-        }
-        fn on_message(&mut self, msg: Msg, _ctx: &mut Ctx<'_>) {
-            let s = msg.downcast::<Spin>().unwrap();
-            let mut mixer = SplitMix64::new(s.0);
-            let mut x = 0u64;
-            for _ in 0..SPIN {
-                x ^= mixer.next_u64();
-            }
-            self.acc ^= x;
-        }
-    }
-
-    let mut g = c.benchmark_group("engine");
-    g.sample_size(10);
-    for &threads in &[1usize, 4] {
-        let mut sim = Sim::new(11);
-        sim.set_threads(threads);
-        let ids: Vec<_> = (0..ACTORS)
-            .map(|i| sim.spawn(format!("spin-{i}"), Spinner { acc: 0 }))
-            .collect();
-        let mut round = 0u64;
-        g.throughput(Throughput::Elements((ACTORS * MSGS) as u64));
-        g.bench_with_input(
-            BenchmarkId::new("parallel_dispatch", format!("t{threads}")),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    round += 1;
-                    for id in &ids {
-                        for m in 0..MSGS {
-                            sim.send(*id, Spin(round ^ (m as u64) << 32));
-                        }
-                    }
-                    sim.run();
-                    sim.events_processed()
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
 /// K8s control-loop pass cost against a large resident pod population:
 /// `jobs_pass` is the Job controller pass reading the persistent
 /// pods-by-job index (O(jobs)); `jobs_pass_swept` measures the per-pass
@@ -689,71 +628,6 @@ fn bench_align(c: &mut Criterion) {
     g.finish();
 }
 
-/// One end-to-end multi-cluster pass for the horizon-scheduler benchmark:
-/// a 3-member WAN overlay (10/30/60 ms links), Nearest placement, private
-/// per-gateway predictors (`shared_predictor: false`) so the members'
-/// actor groups have real cross-cluster slack to exploit, and a spaced job
-/// stream driven to completion. Returns the completed-job count (sanity
-/// anchor: identical in every mode).
-fn horizon_pass(horizon: bool, threads: usize) -> u32 {
-    use lidc_core::client::{ClientConfig, ScienceClient, Submit};
-    use lidc_core::overlay::{ClusterSpec, Overlay, OverlayConfig};
-    use lidc_core::placement::PlacementPolicy;
-    use lidc_simcore::engine::Sim;
-
-    let mut sim = Sim::new(7);
-    sim.set_threads(threads);
-    sim.set_horizon(horizon);
-    let overlay = Overlay::build(&mut sim, OverlayConfig {
-        placement: PlacementPolicy::Nearest,
-        clusters: vec![
-            ClusterSpec::new("west", SimDuration::from_millis(10)).with_nodes(2, 16, 64),
-            ClusterSpec::new("east", SimDuration::from_millis(30)).with_nodes(2, 16, 64),
-            ClusterSpec::new("south", SimDuration::from_millis(60)).with_nodes(2, 16, 64),
-        ],
-        load_datasets: false,
-        shared_predictor: false,
-        ..Default::default()
-    });
-    let alloc = overlay.alloc.clone();
-    let client = ScienceClient::deploy(
-        ClientConfig {
-            fetch_results: false,
-            ..Default::default()
-        },
-        &mut sim,
-        overlay.router,
-        &alloc,
-        "bench",
-    );
-    for tag in 0..8u32 {
-        let request = ComputeRequest::new("HZB", 2, 4).with_param("tag", tag.to_string());
-        sim.send_after(SimDuration::from_secs(5).mul_f64(f64::from(tag)), client, Submit(request));
-    }
-    sim.run_for(SimDuration::from_mins(10));
-    sim.actor::<ScienceClient>(client)
-        .expect("client")
-        .runs()
-        .iter()
-        .filter(|r| r.is_success())
-        .count() as u32
-}
-
-/// Horizon scheduler vs the legacy global-clock loop on the 3-cluster
-/// end-to-end pass: `multi_cluster` is the legacy reference, `t1`/`t4` run
-/// the horizon scheduler at 1 and 4 worker threads. All three produce the
-/// identical schedule; the delta is pure engine bookkeeping/parallelism.
-fn bench_horizon(c: &mut Criterion) {
-    let completed = horizon_pass(false, 1);
-    assert_eq!(completed, horizon_pass(true, 1), "modes disagree");
-    let mut g = c.benchmark_group("engine/horizon");
-    g.sample_size(10);
-    g.bench_function("multi_cluster", |b| b.iter(|| black_box(horizon_pass(false, 1))));
-    g.bench_function("t1", |b| b.iter(|| black_box(horizon_pass(true, 1))));
-    g.bench_function("t4", |b| b.iter(|| black_box(horizon_pass(true, 4))));
-    g.finish();
-}
-
 /// End-to-end recovery cost: a full (small) chaos run — overlay deploy,
 /// job stream, node crash + permanent cluster outage, rerouting, and
 /// completion — measured as wall-clock per simulated recovery.
@@ -793,10 +667,8 @@ criterion_group!(
     bench_cs_churn,
     bench_burst,
     bench_parallel_ingress,
-    bench_parallel_dispatch,
     bench_k8s_reconcile,
     bench_align,
-    bench_horizon,
     bench_chaos_recovery
 );
 criterion_main!(benches);

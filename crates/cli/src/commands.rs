@@ -57,14 +57,6 @@ fn placement(args: &Args) -> Result<PlacementPolicy, String> {
 fn build_world(args: &Args) -> Result<(Sim, Overlay, ActorId), String> {
     let seed = args.get_u64("seed", 42)?;
     let mut sim = Sim::new(seed);
-    // Parallel same-instant dispatch: worker threads for distinct-actor
-    // waves (1 = serial; results are bit-identical at any count).
-    let threads = args.get_u64("threads", 1)? as usize;
-    sim.set_threads(threads);
-    // Horizon scheduler: loosely-coupled actor groups (one per overlay
-    // member) run ahead of the global clock within their WAN-latency
-    // lookahead. Bit-identical to the legacy loop at any thread count.
-    sim.set_horizon(args.has("horizon"));
     let defaults = OverlayConfig::default();
     // Access-router Content Store shape: entry capacity plus the byte
     // budget (0 = no byte limit; the default derives one 1 MiB segment per
@@ -312,9 +304,7 @@ pub fn chaos(args: &Args) -> CmdResult {
     };
     cfg.jobs = u32::try_from(args.get_u64("jobs", u64::from(cfg.jobs))?)
         .map_err(|_| "--jobs out of range".to_owned())?;
-    cfg.threads = usize::try_from(args.get_u64("threads", 1)?).unwrap_or(1);
     cfg.shards = usize::try_from(args.get_u64("forwarder-shards", 1)?).unwrap_or(1);
-    cfg.horizon_mode = args.has("horizon");
     println!("fault schedule (seed {seed}):");
     for event in cfg.schedule.events() {
         println!("  {event}");
@@ -333,7 +323,8 @@ pub fn chaos(args: &Args) -> CmdResult {
 }
 
 /// `lidc help`.
-pub fn help() {
+pub fn help(args: &Args) -> CmdResult {
+    let _ = args;
     println!(
         "lidc — location-independent data and compute (simulated testbed)
 
@@ -341,32 +332,195 @@ USAGE: lidc <command> [flags]
 
 COMMANDS
   submit      submit a named computation and follow it to completion
-              --app BLAST --srr SRR2931415 --cpu 2 --mem 4 [--watch]
-              [--url https://.../compute?...] [--clusters a:5ms,b:25ms]
-              [--placement nearest|round-robin|adaptive|least-loaded|learned]
+              --app BLAST --srr SRR2931415 [--ref HUMAN] --cpu 2 --mem 4
+              [--input NAME] [--url https://.../compute?...]
+              [--watch] [--watch-interval 2h]  + world flags
   fetch       look up a data-lake object (--name /ndn/k8s/data/... | --srr ID)
+              + world flags
   load-data   run the paper's data-loading tool and report what it published
-  catalog     list the datasets a deployed cluster publishes [--limit N]
-  topology    show overlay members, latencies and routed prefixes
+  catalog     list the datasets a deployed cluster publishes [--seed N] [--limit N]
+  topology    show overlay members, latencies and routed prefixes + world flags
   chaos       LIDC vs centralized baseline under one deterministic fault
-              schedule [--jobs N] [--threads N] [--forwarder-shards N]
-              [--horizon] [--schedule standard|byzantine|region-outage]
+              schedule [--seed N] [--jobs N] [--forwarder-shards N]
+              [--schedule standard|byzantine|region-outage]
   experiment  list the table/figure reproduction harnesses
   help        this text
 
-COMMON FLAGS
+WORLD FLAGS (submit, fetch, topology)
   --seed N                  deterministic world seed (default 42)
   --clusters SPEC           name:latency[,name:latency...] (default gcp-microk8s:5ms)
-  --placement POLICY        compute-prefix forwarding strategy (default nearest)
+  --placement POLICY        nearest|round-robin|adaptive|least-loaded|learned
+                            (compute-prefix forwarding strategy, default nearest)
   --router-cs-capacity N    access-router Content Store entries (default 4096; 0 = off)
   --cs-budget-bytes N       access-router Content Store byte budget
                             (default capacity x 1 MiB; 0 = no byte limit)
-  --threads N               engine workers for parallel same-instant dispatch
-                            (default 1 = serial; results identical at any N)
-  --horizon                 horizon scheduler: per-cluster actor groups run
-                            ahead of the global clock within WAN-latency
-                            lookahead (results identical to the default loop)
   --forwarder-shards N      PIT/CS/DNL shards per forwarder (default 1; >1
-                            enables the two-phase parallel burst ingress)"
+                            enables the two-phase parallel burst ingress)
+
+A flag the command does not read is an error (exit code 2)."
     );
+    Ok(())
+}
+
+/// Flags [`build_world`] reads: every command that builds the overlay
+/// accepts them.
+const WORLD_FLAGS: &[&str] = &[
+    "seed",
+    "clusters",
+    "placement",
+    "router-cs-capacity",
+    "cs-budget-bytes",
+    "forwarder-shards",
+];
+
+/// One `lidc` subcommand and the flags it reads.
+pub struct Command {
+    /// The subcommand name.
+    pub name: &'static str,
+    /// Its implementation.
+    pub run: fn(&Args) -> CmdResult,
+    /// Flags the command reads itself.
+    flags: &'static [&'static str],
+    /// Whether it builds the overlay (and so also reads [`WORLD_FLAGS`]).
+    builds_world: bool,
+}
+
+impl Command {
+    /// Reject any flag this command does not read, naming it.
+    pub fn check_flags(&self, args: &Args) -> CmdResult {
+        let accepted = |flag: &str| {
+            self.flags.contains(&flag) || (self.builds_world && WORLD_FLAGS.contains(&flag))
+        };
+        match args.flags.keys().find(|flag| !accepted(flag)) {
+            Some(flag) => Err(format!(
+                "`lidc {}` does not accept --{flag} (see `lidc help`)",
+                self.name
+            )),
+            None => Ok(()),
+        }
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "submit",
+        run: submit,
+        flags: &[
+            "app",
+            "cpu",
+            "mem",
+            "srr",
+            "ref",
+            "input",
+            "url",
+            "watch",
+            "watch-interval",
+        ],
+        builds_world: true,
+    },
+    Command {
+        name: "fetch",
+        run: fetch,
+        flags: &["name", "srr"],
+        builds_world: true,
+    },
+    Command {
+        name: "load-data",
+        run: load_data,
+        flags: &[],
+        builds_world: false,
+    },
+    Command {
+        name: "catalog",
+        run: catalog,
+        flags: &["seed", "limit"],
+        builds_world: false,
+    },
+    Command {
+        name: "topology",
+        run: topology,
+        flags: &[],
+        builds_world: true,
+    },
+    Command {
+        name: "chaos",
+        run: chaos,
+        flags: &["seed", "jobs", "forwarder-shards", "schedule"],
+        builds_world: false,
+    },
+    Command {
+        name: "experiment",
+        run: experiment,
+        flags: &[],
+        builds_world: false,
+    },
+    Command {
+        name: "help",
+        run: help,
+        flags: &[],
+        builds_world: false,
+    },
+];
+
+/// The subcommand called `name`, if there is one.
+pub fn lookup(name: &str) -> Option<&'static Command> {
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn check(line: &str) -> CmdResult {
+        let args = Args::parse(line.split_whitespace().map(String::from)).unwrap();
+        let command = args.command.as_deref().unwrap();
+        lookup(command).unwrap().check_flags(&args)
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_by_name() {
+        let err = check("chaos --forwarder-shard 4").unwrap_err();
+        assert!(err.contains("--forwarder-shard"), "{err}");
+        assert!(
+            check("load-data --seed 1").is_err(),
+            "load-data reads no flags"
+        );
+    }
+
+    #[test]
+    fn threads_flag_is_rejected() {
+        for line in ["submit --threads 4", "chaos --threads 4"] {
+            let err = check(line).unwrap_err();
+            assert!(err.contains("--threads"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn horizon_flag_is_rejected() {
+        for line in ["chaos --horizon", "topology --horizon"] {
+            let err = check(line).unwrap_err();
+            assert!(err.contains("--horizon"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_flag_in_help_is_accepted() {
+        let world = "--seed 1 --clusters a:5ms --placement nearest --router-cs-capacity 8 \
+                     --cs-budget-bytes 0 --forwarder-shards 2";
+        for line in [
+            format!(
+                "submit --app BLAST --srr S --ref HUMAN --cpu 2 --mem 4 --input x --url u \
+                 --watch --watch-interval 2h {world}"
+            ),
+            format!("fetch --name /n --srr S {world}"),
+            format!("topology {world}"),
+            "catalog --seed 1 --limit 5".to_owned(),
+            "chaos --seed 1 --jobs 3 --forwarder-shards 2 --schedule byzantine".to_owned(),
+            "load-data".to_owned(),
+            "experiment".to_owned(),
+            "help".to_owned(),
+        ] {
+            assert_eq!(check(&line), Ok(()), "{line}");
+        }
+    }
 }

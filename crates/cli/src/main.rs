@@ -17,21 +17,16 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let result = match parsed.command.as_deref() {
-        Some("submit") => commands::submit(&parsed),
-        Some("fetch") => commands::fetch(&parsed),
-        Some("load-data") => commands::load_data(&parsed),
-        Some("catalog") => commands::catalog(&parsed),
-        Some("topology") => commands::topology(&parsed),
-        Some("chaos") => commands::chaos(&parsed),
-        Some("experiment") => commands::experiment(&parsed),
-        Some("help") | None => {
-            commands::help();
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other:?} (try `lidc help`)")),
+    let name = parsed.command.as_deref().unwrap_or("help");
+    let Some(command) = commands::lookup(name) else {
+        eprintln!("error: unknown command {name:?} (try `lidc help`)");
+        std::process::exit(1);
     };
-    if let Err(e) = result {
+    if let Err(e) = command.check_flags(&parsed) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+    if let Err(e) = (command.run)(&parsed) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }

@@ -33,21 +33,10 @@ pub const FLOAT_ACCUM: &str = "float-accum";
 /// fault injection that turns "degraded" into "crashed".
 pub const PANIC_PATH: &str = "panic-path";
 
-/// `ctx.spawn`/`kill`/`halt` reachable from a `Concurrency::Concurrent`
-/// actor's handlers. The engine panics when a wave worker attempts these;
-/// this rule proves the contract statically.
-pub const EFFECT_PURITY: &str = "effect-purity";
-
 /// Metrics key hygiene: every key recorded in non-test code must appear
 /// in `crates/simcore/src/metrics_keys.rs`, and every registered key must
 /// be recorded somewhere. The registry is the observability schema.
 pub const METRIC_KEY: &str = "metric-key";
-
-/// Horizon-mode coupling outside the declared lookahead matrix:
-/// `connect_runtime` callers (which bypass `net::connect`'s lookahead
-/// declaration), and `Arc<RwLock/Mutex>`-shaped shared state in
-/// `crates/core`/`crates/ndn` without a zero-clamp note in its allow.
-pub const HORIZON_SAFETY: &str = "horizon-safety";
 
 /// An allow directive that suppressed nothing. Stale allows are how
 /// scoped exemptions decay into blanket ones.
@@ -64,9 +53,7 @@ pub const ALL: &[&str] = &[
     ACTOR_ISOLATION,
     FLOAT_ACCUM,
     PANIC_PATH,
-    EFFECT_PURITY,
     METRIC_KEY,
-    HORIZON_SAFETY,
     UNUSED_ALLOW,
     ALLOW_SYNTAX,
 ];
@@ -81,9 +68,7 @@ pub fn is_known(id: &str) -> bool {
         || id == ACTOR_ISOLATION
         || id == FLOAT_ACCUM
         || id == PANIC_PATH
-        || id == EFFECT_PURITY
         || id == METRIC_KEY
-        || id == HORIZON_SAFETY
 }
 
 /// One-line description per rule (the `--rules` listing).
@@ -105,14 +90,8 @@ pub fn describe(id: &str) -> &'static str {
         _ if id == PANIC_PATH => {
             "panic site (unwrap/expect/panic!/index-by-variable/int-div-by-variable) reachable from an Actor handler in an actor crate"
         }
-        _ if id == EFFECT_PURITY => {
-            "ctx.spawn/kill/halt reachable from a Concurrency::Concurrent actor's handlers (wave workers panic on these at runtime)"
-        }
         _ if id == METRIC_KEY => {
             "metric key recorded but not registered in crates/simcore/src/metrics_keys.rs, or registered but never recorded"
-        }
-        _ if id == HORIZON_SAFETY => {
-            "connect_runtime bypassing net::connect's lookahead declaration, or Arc<RwLock/Mutex> shared state in crates/core|ndn without a zero-clamp note"
         }
         _ if id == UNUSED_ALLOW => "allow directive that suppressed no finding",
         _ if id == ALLOW_SYNTAX => "allow directive that does not parse",

@@ -1,18 +1,16 @@
-//! The inter-procedural rule families (PR 9): `panic-path`,
-//! `effect-purity`, `metric-key`, `horizon-safety`.
+//! The inter-procedural rule families (PR 9): `panic-path` and
+//! `metric-key`.
 //!
 //! These run over the [`crate::symbols::Workspace`] + [`crate::callgraph`]
-//! layer instead of single files, which is what lets them state *reachability*
-//! claims: "no `unwrap` is reachable from an actor handler", "no
-//! `ctx.spawn` is reachable from a `Concurrency::Concurrent` actor's
-//! handlers" — the contracts PR 6 and PR 8 could only assert at runtime.
+//! layer instead of single files, which is what lets them state workspace-
+//! wide claims: "no `unwrap` is reachable from an actor handler", "every
+//! recorded metric key is registered and every registered key recorded".
 //! All resolution is conservative (see `callgraph`): an unresolvable call
 //! keeps by-name edges, so a clean scan really means no statically visible
 //! path exists.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::allow::Allow;
 use crate::analyze::Finding;
 use crate::callgraph::{local_types, CallGraph};
 use crate::lexer::TokKind;
@@ -22,20 +20,15 @@ use crate::symbols::{FnId, Workspace};
 /// The metric-key registry: the observability layer's schema.
 pub const REGISTRY_PATH: &str = "crates/simcore/src/metrics_keys.rs";
 
-/// Actor handler methods — the roots of `panic-path` and `effect-purity`
-/// reachability.
+/// Actor handler methods — the roots of `panic-path` reachability.
 const HANDLERS: &[&str] = &["on_message", "on_batch", "on_start"];
 
-/// Run every semantic rule. `allows` is indexed like `ws.files`; the
-/// `horizon-safety` shared-state check inspects reasons directly (the
-/// zero-clamp note is mandatory), every other finding goes through the
-/// generic suppression pass later.
-pub fn run(ws: &Workspace, cg: &CallGraph, allows: &mut [Vec<Allow>]) -> Vec<Finding> {
+/// Run every semantic rule. Findings go through the generic allow
+/// suppression pass later.
+pub fn run(ws: &Workspace, cg: &CallGraph) -> Vec<Finding> {
     let mut out = Vec::new();
     panic_path(ws, cg, &mut out);
-    effect_purity(ws, cg, &mut out);
     metric_key(ws, &mut out);
-    horizon_safety(ws, allows, &mut out);
     out
 }
 
@@ -244,82 +237,6 @@ fn scan_panic_sites(
     }
 }
 
-/// `effect-purity`: `ctx.spawn`/`ctx.kill`/`ctx.halt` reachable from a
-/// `Concurrency::Concurrent` actor's handlers. The engine *panics* when a
-/// wave worker tries these (engine.rs documents the contract); this proves
-/// the workspace honors it before any wave ever runs.
-fn effect_purity(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Finding>) {
-    // Types whose `concurrency()` impl mentions `Concurrent`.
-    let mut concurrent: BTreeSet<String> = BTreeSet::new();
-    for f in &ws.fns {
-        if f.name == "concurrency" && !f.is_test {
-            if let Some(ty) = &f.self_ty {
-                let toks = ws.toks_of(ws.fns.iter().position(|g| std::ptr::eq(g, f)).unwrap());
-                let (b0, b1) = f.body;
-                if toks[b0..b1].iter().any(|t| t.is_ident("Concurrent")) {
-                    concurrent.insert(ty.clone());
-                }
-            }
-        }
-    }
-    let roots: Vec<FnId> = (0..ws.fns.len())
-        .filter(|&id| {
-            let f = &ws.fns[id];
-            !f.is_test
-                && HANDLERS.contains(&f.name.as_str())
-                && f.self_ty.as_ref().is_some_and(|ty| concurrent.contains(ty))
-        })
-        .collect();
-    if roots.is_empty() {
-        return;
-    }
-    let origin = reach_with_roots(cg, &roots);
-    for (&id, &root) in &origin {
-        let f = &ws.fns[id];
-        if f.is_test {
-            continue;
-        }
-        let toks = ws.toks_of(id);
-        for site in &cg.sites[id] {
-            if !matches!(site.name.as_str(), "spawn" | "kill" | "halt") {
-                continue;
-            }
-            // Only the engine's effect API counts: a resolved `Ctx`
-            // receiver, or an unresolved receiver literally named `ctx`
-            // (`std::thread::scope(|scope| scope.spawn(..))` and
-            // `Builder::spawn` are host threads, not engine effects).
-            let recv_ident = (site.tok >= 2
-                && toks[site.tok - 1].is_punct('.')
-                && toks[site.tok - 2].kind == TokKind::Ident)
-                .then(|| toks[site.tok - 2].text.as_str());
-            let hits_ctx = site.recv_ty.as_deref() == Some("Ctx")
-                || (site.recv_ty.is_none() && recv_ident == Some("ctx"));
-            if !hits_ctx {
-                continue;
-            }
-            let via = if id == root {
-                format!("handler `{}`", qualified(ws, id))
-            } else {
-                format!(
-                    "`{}`, reachable from handler `{}`",
-                    qualified(ws, id),
-                    qualified(ws, root)
-                )
-            };
-            push(
-                out,
-                &ws.files[f.file].ctx.rel_path,
-                site.line,
-                rules::EFFECT_PURITY,
-                format!(
-                    "`ctx.{}` in {} of a Concurrency::Concurrent actor — wave workers panic on spawn/kill/halt at runtime; route the effect through an Exclusive actor or drop the Concurrent declaration",
-                    site.name, via
-                ),
-            );
-        }
-    }
-}
-
 /// Parse the checked-in registry (`crates/simcore/src/metrics_keys.rs`):
 /// every `pub const NAME: &str = "key";` item. Returns key → line.
 pub fn parse_registry(ws: &Workspace) -> Option<(usize, BTreeMap<String, u32>)> {
@@ -470,102 +387,6 @@ fn metric_key(ws: &Workspace, out: &mut Vec<Finding>) {
                         format!(
                             "metric key passed to `.{}` is not a string literal — the registry cannot check it; use a registered constant or annotate how every expansion is registered",
                             t.text
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// `horizon-safety`: (a) `connect_runtime` callers bypass the lookahead
-/// declaration `net::connect` makes (docs/ENGINE.md's caveat, enforced);
-/// (b) `Arc<RwLock<...>>`/`Arc<Mutex<...>>`-shaped shared state in
-/// `crates/core`/`crates/ndn` couples actor groups outside the event
-/// system, so each declaration must carry an allow whose reason records
-/// the zero-clamp decision (the lookahead matrix entry that keeps the
-/// sharing safe in horizon mode).
-fn horizon_safety(ws: &Workspace, allows: &mut [Vec<Allow>], out: &mut Vec<Finding>) {
-    for (fi, fs) in ws.files.iter().enumerate() {
-        let ctx = &fs.ctx;
-        if ctx.is_test_code {
-            continue;
-        }
-        let toks = &fs.lexed.toks;
-        let in_test = |line: u32| fs.test_regions.iter().any(|&(a, b)| (a..=b).contains(&line));
-        // (a) connect_runtime callers — anywhere but its defining module.
-        if ctx.rel_path != "crates/ndn/src/net.rs" {
-            for i in 0..toks.len() {
-                let t = &toks[i];
-                if t.is_ident("connect_runtime")
-                    && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-                    && !in_test(t.line)
-                    && !(i > 0 && toks[i - 1].is_ident("fn"))
-                {
-                    push(
-                        out,
-                        &ctx.rel_path,
-                        t.line,
-                        rules::HORIZON_SAFETY,
-                        "`connect_runtime` does not declare cross-group lookahead (docs/ENGINE.md) — use `net::connect` pre-run, or declare the lookahead explicitly and annotate".into(),
-                    );
-                }
-            }
-        }
-        // (b) shared-state types in the horizon-coupling crates.
-        let coupling_crate = ctx.rel_path.starts_with("crates/core/")
-            || ctx.rel_path.starts_with("crates/ndn/");
-        if !coupling_crate {
-            continue;
-        }
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if !(t.is_ident("Arc")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct('<'))
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|t| t.is_ident("RwLock") || t.is_ident("Mutex")))
-            {
-                continue;
-            }
-            if in_test(t.line) {
-                continue;
-            }
-            let inner = &toks[i + 2].text;
-            // The zero-clamp note is checked *here*, not in the generic
-            // suppression pass: an allow(horizon-safety) whose reason skips
-            // the clamp decision is an incomplete justification.
-            let covering = allows[fi]
-                .iter_mut()
-                .find(|a| a.covers == t.line && a.rules.iter().any(|r| r == rules::HORIZON_SAFETY));
-            match covering {
-                Some(a) if a.reason.to_lowercase().contains("clamp") => {
-                    a.used = true; // suppressed, note present
-                }
-                Some(a) => {
-                    a.used = true;
-                    // Forfeit the rule so the generic suppression pass
-                    // cannot eat the incomplete-justification finding
-                    // with the very directive it is complaining about.
-                    a.rules.retain(|r| r != rules::HORIZON_SAFETY);
-                    push(
-                        out,
-                        &ctx.rel_path,
-                        t.line,
-                        rules::HORIZON_SAFETY,
-                        format!(
-                            "`Arc<{inner}<...>>` allow is missing the zero-clamp note — the reason must record which lookahead entries are clamped to zero (or why no clamp is needed), see docs/ENGINE.md"
-                        ),
-                    );
-                }
-                None => {
-                    push(
-                        out,
-                        &ctx.rel_path,
-                        t.line,
-                        rules::HORIZON_SAFETY,
-                        format!(
-                            "shared-state type `Arc<{inner}<...>>` couples actor groups outside the event system — in horizon mode this needs a zero-clamp lookahead entry; annotate with allow(horizon-safety) and a reason recording the clamp"
                         ),
                     );
                 }

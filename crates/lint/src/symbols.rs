@@ -1,8 +1,8 @@
 //! The workspace symbol graph: who defines what, where.
 //!
-//! PR 7's rules were per-file token patterns; the inter-procedural rules
-//! (`panic-path`, `effect-purity`) need to know which *function* a token
-//! lives in and which functions that function can call. This module builds
+//! PR 7's rules were per-file token patterns; the inter-procedural
+//! `panic-path` rule needs to know which *function* a token lives in and
+//! which functions that function can call. This module builds
 //! the definition side of that picture from the lexed token streams:
 //!
 //! * every `fn` item — free functions, `impl` methods (with their enclosing

@@ -128,12 +128,8 @@ fn actor_isolation_flags_shared_state_in_actor_crates_only() {
     let f = rules_at(&actor_ctx(), src);
     assert_eq!(
         f,
-        vec![
-            ("actor-isolation".to_string(), 2),
-            ("horizon-safety".to_string(), 2),
-        ],
-        "the usage site flags (both isolation and, since PR 9, horizon \
-         coupling); the import alone is not shared state"
+        vec![("actor-isolation".to_string(), 2)],
+        "the usage site flags; the import alone is not shared state"
     );
     assert!(
         rules_at(&lib_ctx(), src).is_empty(),
@@ -272,33 +268,6 @@ fn panic_path_ignores_non_actor_crates_and_unreachable_fns() {
     assert!(f.is_empty(), "unreachable from any handler: {f:?}");
 }
 
-#[test]
-fn effect_purity_flags_ctx_spawn_from_concurrent_actor() {
-    let src = "pub struct W;\n\
-impl Actor for W {\n\
-    fn concurrency(&self) -> Concurrency { Concurrency::Concurrent }\n\
-    fn on_message(&mut self, ctx: &mut Ctx<'_>) {\n\
-        self.work(ctx);\n\
-    }\n\
-}\n\
-impl W {\n\
-    fn work(&mut self, ctx: &mut Ctx<'_>) {\n\
-        ctx.spawn(\"child\", W);\n\
-    }\n\
-}";
-    let f = multi(&[("crates/ndn/src/wave.rs", src)]);
-    assert_eq!(
-        f,
-        vec![("crates/ndn/src/wave.rs".to_string(), "effect-purity".to_string(), 10)],
-        "ctx.spawn reachable from a Concurrent handler is the violation"
-    );
-
-    // The identical actor declared Exclusive may spawn freely.
-    let exclusive = src.replace("Concurrency::Concurrent", "Concurrency::Exclusive");
-    let f = multi(&[("crates/ndn/src/wave.rs", exclusive.as_str())]);
-    assert!(f.is_empty(), "Exclusive actors may spawn: {f:?}");
-}
-
 /// A minimal stand-in for the checked-in metric registry.
 const REGISTRY_FIXTURE: &str = "/// Interests forwarded.\npub const NDN_TX: &str = \"ndn.tx\";\n";
 
@@ -348,34 +317,4 @@ fn metric_key_dynamic_key_needs_allow() {
         ("crates/ndn/src/metrics_user.rs", allowed),
     ]);
     assert!(f.is_empty(), "the annotated dynamic key is accepted: {f:?}");
-}
-
-#[test]
-fn horizon_safety_flags_connect_runtime_outside_net() {
-    let src = "fn wire(sim: &mut Sim, a: ActorId, b: ActorId) {\n    connect_runtime(sim, a, b);\n}";
-    let f = multi(&[("crates/core/src/wiring.rs", src)]);
-    assert_eq!(
-        f,
-        vec![("crates/core/src/wiring.rs".to_string(), "horizon-safety".to_string(), 2)],
-        "runtime wiring bypasses the declared lookahead"
-    );
-
-    // The defining module and #[cfg(test)] regions are exempt.
-    let f = multi(&[("crates/ndn/src/net.rs", src)]);
-    assert!(f.is_empty(), "net.rs implements connect_runtime: {f:?}");
-}
-
-#[test]
-fn horizon_safety_allow_must_record_the_clamp() {
-    let missing = "// lidc-lint: allow(horizon-safety, actor-isolation) reason=\"shared read-mostly board\"\npub type Board = Arc<RwLock<State>>;";
-    let f = multi(&[("crates/core/src/board.rs", missing)]);
-    assert_eq!(
-        f,
-        vec![("crates/core/src/board.rs".to_string(), "horizon-safety".to_string(), 2)],
-        "an allow whose reason skips the clamp decision is incomplete"
-    );
-
-    let noted = "// lidc-lint: allow(horizon-safety, actor-isolation) reason=\"shared read-mostly board; horizon runs clamp the sharing groups to zero lookahead\"\npub type Board = Arc<RwLock<State>>;";
-    let f = multi(&[("crates/core/src/board.rs", noted)]);
-    assert!(f.is_empty(), "the clamp-noted allow suppresses: {f:?}");
 }

@@ -55,7 +55,7 @@
 
 use std::collections::VecDeque;
 
-use lidc_simcore::engine::{Actor, Concurrency, Ctx, Msg};
+use lidc_simcore::engine::{Actor, Ctx, Msg};
 use lidc_simcore::time::{SimDuration, SimTime};
 
 use crate::face::{Face, FaceId, FaceKind};
@@ -322,8 +322,8 @@ impl DeadNonceList {
     }
 }
 
-/// Per-out-link staging bucket (wave-aware link fan-out; see the module
-/// docs): every packet staged for one link during the current handler, in
+/// Per-out-link staging bucket (per-link fan-out; see the module docs):
+/// every packet staged for one link during the current handler, in
 /// staging order. Face `busy_until` is monotone, so per-bucket arrivals are
 /// nondecreasing and same-arrival flush groups are *contiguous runs* — the
 /// flush needs no hash pass, and a hub's fan-out over N links is N
@@ -876,8 +876,7 @@ impl Forwarder {
     /// message when the engine delivers singly, per burst under batched
     /// dispatch). Per-bucket arrivals are nondecreasing, so same-arrival
     /// groups are contiguous runs — no hash pass, and each out-link's
-    /// fan-out walks independently (the wave-aware split: under the horizon
-    /// scheduler each link's `RxBatch` feeds a different group's queue).
+    /// fan-out walks independently.
     fn flush_tx(&mut self, ctx: &mut Ctx<'_>) {
         if self.tx_buckets.is_empty() {
             return;
@@ -1685,14 +1684,6 @@ impl Forwarder {
 }
 
 impl Actor for Forwarder {
-    /// Forwarders opt into the engine's parallel same-instant waves: their
-    /// handlers never spawn/kill/halt and touch no state shared with other
-    /// Concurrent actors (per-actor tables, buffered effects, per-actor
-    /// RNG), so distinct forwarders' bursts may execute concurrently.
-    fn concurrency(&self) -> Concurrency {
-        Concurrency::Concurrent
-    }
-
     fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
         if self.config.shards > 1 {
             match self.buffer_packets(msg) {

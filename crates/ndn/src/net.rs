@@ -21,14 +21,6 @@ use crate::packet::Packet;
 /// Connect two forwarders with a symmetric link (pre-run, by direct state
 /// access). Returns `(face on a, face on b)`.
 ///
-/// When the endpoints live in different actor *groups* (horizon mode), the
-/// link's base propagation delay is auto-declared as lookahead in both
-/// directions: packets crossing the link always arrive at least `latency`
-/// after the send, so the receiving group can safely run that far ahead.
-/// Runtime degradation (`latency_factor` ≥ 1.0) only widens the gap; a
-/// factor below 1.0 would violate the declaration and trips the engine's
-/// causality assert.
-///
 /// # Panics
 /// Panics if either actor is not a [`Forwarder`].
 pub fn connect(
@@ -38,12 +30,6 @@ pub fn connect(
     alloc: &FaceIdAlloc,
     props: LinkProps,
 ) -> (FaceId, FaceId) {
-    let (ga, gb) = (sim.actor_group(a), sim.actor_group(b));
-    if ga != gb {
-        let floor = props.latency.min(props.effective_latency());
-        sim.set_lookahead(ga, gb, floor);
-        sim.set_lookahead(gb, ga, floor);
-    }
     let fa = alloc.alloc();
     let fb = alloc.alloc();
     sim.actor_mut::<Forwarder>(a)

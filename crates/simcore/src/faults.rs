@@ -3,8 +3,8 @@
 //!
 //! ## Determinism contract
 //!
-//! Chaos runs must be bit-identical across thread counts and across repeated
-//! runs with the same master seed. Two rules make that hold:
+//! Chaos runs must be bit-identical across repeated runs with the same
+//! master seed. Two rules make that hold:
 //!
 //! 1. **The schedule is pre-generated, never drawn during the run.** A
 //!    [`FaultSchedule`] is either built explicitly or generated from a
@@ -14,12 +14,11 @@
 //!    independent of the consumption order of — every other stream in the
 //!    simulation. The same seed therefore yields the same schedule no matter
 //!    what else the run does.
-//! 2. **Application is a single [`Exclusive`](crate::Concurrency::Exclusive)
-//!    actor.** The [`FaultController`] converts the schedule into ordinary
-//!    timed messages to itself at [`StartFaults`] time; the engine dispatches
-//!    them in deterministic `(time, sequence)` order like any other event, so
-//!    the interleaving of fault firings with workload traffic is identical at
-//!    any thread count.
+//! 2. **Application is a single actor.** The [`FaultController`] converts
+//!    the schedule into ordinary timed messages to itself at [`StartFaults`]
+//!    time; the engine dispatches them in canonical-key order like any other
+//!    event, so the interleaving of fault firings with workload traffic is
+//!    identical on every run.
 //!
 //! Fault timers use [`Ctx::schedule_self_background`] (daemon timers), so a
 //! pending heal far in the future never keeps [`Sim::run`](crate::Sim::run)
@@ -305,7 +304,7 @@ impl FaultSchedule {
 
     /// A stable, human-readable dump of the schedule — one line per event.
     /// Two schedules are identical iff their fingerprints match; used by the
-    /// determinism tests to compare schedules across thread counts.
+    /// determinism tests to compare schedules across runs.
     pub fn fingerprint(&self) -> String {
         let mut s = String::new();
         for e in &self.events {
@@ -483,18 +482,8 @@ impl FaultController {
 
     /// Spawn a controller into `sim` and send it [`StartFaults`] so the
     /// schedule begins at the current instant. Returns the controller's id.
-    ///
-    /// The controller lives in its own **barrier group**: it declares zero
-    /// lookahead to every other group, so under the horizon scheduler no
-    /// group advances past the next scheduled firing and every zero-delay
-    /// injection lands at exactly the instant it would under the legacy
-    /// engine (see docs/ENGINE.md).
     pub fn deploy(sim: &mut Sim, schedule: FaultSchedule, hook: FaultHook) -> ActorId {
-        let group = sim.new_group("faults");
-        sim.set_barrier_group(group);
-        let prev = sim.set_default_group(group);
         let id = sim.spawn("fault-controller", FaultController::new(schedule, hook));
-        sim.set_default_group(prev);
         sim.send(id, StartFaults);
         id
     }
@@ -505,7 +494,7 @@ impl FaultController {
     }
 
     /// Stable text dump of the timeline — one line per firing. Used by the
-    /// determinism tests to compare runs across seeds and thread counts.
+    /// determinism tests and the golden files to compare runs.
     pub fn timeline_text(&self) -> String {
         let mut s = String::new();
         for (t, line) in &self.timeline {

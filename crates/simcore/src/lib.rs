@@ -7,29 +7,21 @@
 //! * **Virtual time** ([`SimTime`], [`SimDuration`]) with integer-nanosecond
 //!   resolution and paper-style formatting (`8h9m50s`).
 //! * **A discrete-event engine** ([`Sim`]) that dispatches typed messages to
-//!   registered [`Actor`]s in deterministic `(time, sequence)` order.
+//!   registered [`Actor`]s in deterministic `(time, sent_at, source, seq)`
+//!   order.
 //! * **Deterministic randomness** ([`DetRng`]) — a single `u64` seed fans out
 //!   into independent, reproducible streams.
 //! * **Metrics** ([`Metrics`], [`Histogram`]) and **report emission**
 //!   ([`Table`], [`Report`]) used by the experiment harnesses to regenerate
 //!   the paper's tables.
 //!
-//! The engine is serial by default and **deterministically parallel** on
-//! demand: determinism is a design requirement (DESIGN.md §8), and
-//! [`Sim::set_threads`] may only buy wall-clock speed, never change a
-//! result. The contract (spelled out in [`engine`]'s module docs): at any
-//! thread count the schedule, every metric readout, every reply, and every
-//! actor end state are bit-identical to serial execution. Parallel mode may
-//! reorder only the wall-clock interleaving of same-instant batches for
-//! *distinct* actors that opt in via [`engine::Concurrency::Concurrent`];
-//! it may not reorder anything observable — cross-actor delivery order,
-//! effect sequencing, per-actor RNG streams ([`engine::Ctx::rng`] draws
-//! from a stream derived per actor from the master seed), or metrics
-//! (buffered per worker and folded in run order via [`Metrics::merge`]).
-//! Concurrent actors must not spawn/kill/halt in handlers (panics) nor
-//! write state shared with other Concurrent actors. Real parallelism is
-//! likewise used where real computation happens (the genomics aligner
-//! kernel, the forwarder's sharded burst ingress).
+//! The engine is one serial loop, and determinism is a design requirement
+//! (docs/DETERMINISM.md): the same seed yields the same schedule, every
+//! metric readout, every reply, and every actor end state. Events dispatch
+//! in canonical-key order, and [`engine::Ctx::rng`] draws from a stream
+//! derived per actor from the master seed (see [`engine`]'s module docs).
+//! Real parallelism is used only where real computation happens (the
+//! genomics aligner kernel, the forwarder's sharded burst ingress).
 //!
 //! ## Example
 //!
@@ -72,7 +64,7 @@ pub mod rng;
 pub mod time;
 
 pub use bytesize::{format_bytes, parse_bytes, ByteSize};
-pub use engine::{Actor, ActorId, Concurrency, Ctx, GroupId, Msg, Sim};
+pub use engine::{Actor, ActorId, Ctx, Msg, Sim};
 pub use faults::{
     ChaosProfile, FaultAction, FaultController, FaultEvent, FaultHook, FaultKind, FaultSchedule,
     StartFaults,
@@ -85,7 +77,7 @@ pub use time::{SimDuration, SimTime};
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::bytesize::{format_bytes, ByteSize};
-    pub use crate::engine::{Actor, ActorId, Ctx, GroupId, Msg, Sim};
+    pub use crate::engine::{Actor, ActorId, Ctx, Msg, Sim};
     pub use crate::faults::{
         FaultAction, FaultController, FaultEvent, FaultKind, FaultSchedule, StartFaults,
     };

@@ -3,7 +3,7 @@
 //! Deterministic by construction: `BTreeMap` keys iterate in sorted order so
 //! report generation is byte-stable for a fixed seed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimDuration;
@@ -112,19 +112,6 @@ impl Histogram {
         self.samples[rank.min(self.samples.len() - 1)]
     }
 
-    /// Append every sample of `other` to this histogram, preserving
-    /// `other`'s recording order (the merge building block for per-worker
-    /// metrics buffers).
-    pub fn absorb(&mut self, mut other: Histogram) {
-        if self.samples.is_empty() {
-            // Adopt the other side wholesale (keeps its sorted flag).
-            *self = other;
-            return;
-        }
-        self.samples.append(&mut other.samples);
-        self.sorted = false;
-    }
-
     /// Produce a summary snapshot.
     pub fn summary(&mut self) -> HistogramSummary {
         let count = self.count();
@@ -157,10 +144,6 @@ impl fmt::Display for HistogramSummary {
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-    /// Keys written through [`Metrics::set_max`]: [`Metrics::merge`] combines
-    /// them by maximum instead of by sum, so a high-water mark merged from a
-    /// per-worker buffer stays a high-water mark.
-    max_keys: BTreeSet<String>,
 }
 
 impl Metrics {
@@ -184,34 +167,6 @@ impl Metrics {
     pub fn set_max(&mut self, name: &str, v: u64) {
         let slot = self.counters.entry(name.to_owned()).or_insert(0);
         *slot = (*slot).max(v);
-        if !self.max_keys.contains(name) {
-            self.max_keys.insert(name.to_owned());
-        }
-    }
-
-    /// Fold `other` into this registry with deterministic, order-insensitive
-    /// semantics: counters add, high-water marks ([`Metrics::set_max`] keys)
-    /// take the maximum, and histograms append `other`'s samples in their
-    /// recording order. Keys merge in sorted (`BTreeMap`) order, so merging
-    /// the same set of buffers always walks the same key sequence; because
-    /// sums and maxes commute, the *readouts* are also independent of the
-    /// order the buffers themselves are merged in (pinned by a unit test).
-    /// This is what lets the engine's parallel dispatch hand each worker a
-    /// private `Metrics` buffer and still end up with the exact registry a
-    /// sequential run produces.
-    pub fn merge(&mut self, other: Metrics) {
-        for (name, v) in other.counters {
-            if other.max_keys.contains(&name) {
-                let slot = self.counters.entry(name.clone()).or_insert(0);
-                *slot = (*slot).max(v);
-                self.max_keys.insert(name);
-            } else {
-                *self.counters.entry(name).or_insert(0) += v;
-            }
-        }
-        for (name, h) in other.histograms {
-            self.histograms.entry(name).or_default().absorb(h);
-        }
     }
 
     /// Record a sample into histogram `name`.
@@ -268,7 +223,6 @@ impl Metrics {
     pub fn clear(&mut self) {
         self.counters.clear();
         self.histograms.clear();
-        self.max_keys.clear();
     }
 }
 
@@ -358,85 +312,6 @@ mod tests {
         assert_eq!(t.rows[0][0], "ndn.cs_evict.bytes");
         assert_eq!(t.rows[0][1], "4096");
         assert_eq!(t.rows[1][0], "ndn.cs_evict.count");
-    }
-
-    #[test]
-    fn merge_sums_counters_maxes_marks_and_appends_histograms() {
-        let mut base = Metrics::new();
-        base.incr("pkts", 10);
-        base.set_max("peak", 5);
-        base.record("lat", 1.0);
-
-        let mut worker = Metrics::new();
-        worker.incr("pkts", 3);
-        worker.incr("drops", 1);
-        worker.set_max("peak", 9);
-        worker.record("lat", 2.0);
-        worker.record("other", 7.0);
-
-        base.merge(worker);
-        assert_eq!(base.counter("pkts"), 13);
-        assert_eq!(base.counter("drops"), 1);
-        assert_eq!(base.counter("peak"), 9, "high-water mark maxed, not summed");
-        assert_eq!(base.histogram("lat").unwrap().count(), 2);
-        assert_eq!(base.histogram("other").unwrap().count(), 1);
-        // A lower mark merged later must not regress the max.
-        let mut late = Metrics::new();
-        late.set_max("peak", 2);
-        base.merge(late);
-        assert_eq!(base.counter("peak"), 9);
-    }
-
-    #[test]
-    fn merge_order_does_not_change_readouts() {
-        // Three per-worker buffers merged in two different orders must give
-        // identical counters, maxes, and histogram summaries. Samples are
-        // exactly-representable values so float sums are order-exact.
-        let make = |seed: u64| {
-            let mut m = Metrics::new();
-            m.incr("n", seed);
-            m.set_max("hi", seed * 10);
-            for i in 0..seed {
-                m.record("h", (seed * 100 + i) as f64);
-            }
-            m
-        };
-        let mut fwd = Metrics::new();
-        for s in [1u64, 2, 3] {
-            fwd.merge(make(s));
-        }
-        let mut rev = Metrics::new();
-        for s in [3u64, 2, 1] {
-            rev.merge(make(s));
-        }
-        assert_eq!(
-            fwd.counters().collect::<Vec<_>>(),
-            rev.counters().collect::<Vec<_>>()
-        );
-        let sf = fwd.histogram_mut("h").unwrap().summary();
-        let sr = rev.histogram_mut("h").unwrap().summary();
-        assert_eq!(sf.count, sr.count);
-        assert_eq!(sf.mean, sr.mean);
-        assert_eq!(sf.min, sr.min);
-        assert_eq!(sf.max, sr.max);
-        assert_eq!(sf.p50, sr.p50);
-        assert_eq!(sf.p90, sr.p90);
-        assert_eq!(sf.p99, sr.p99);
-    }
-
-    #[test]
-    fn absorb_into_empty_adopts_and_into_full_appends() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        b.record(3.0);
-        b.record(1.0);
-        a.absorb(b);
-        assert_eq!(a.count(), 2);
-        let mut c = Histogram::new();
-        c.record(0.5);
-        a.absorb(c);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.percentile(0.0), 0.5);
     }
 
     #[test]

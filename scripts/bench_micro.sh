@@ -52,27 +52,16 @@ for m in raw:
     if base and m["median_ns"] > 0 and m["min_ns"] > 0:
         doc.setdefault("speedup_median", {})[m["id"]] = round(base["median_ns"] / m["median_ns"], 2)
         doc.setdefault("speedup_min", {})[m["id"]] = round(base["min_ns"] / m["min_ns"], 2)
-# Record the parallel configuration behind the thread/shard-suffixed bench
-# ids (engine/parallel_dispatch/t{N}, burst/parallel_ingress/shards{N})
-# plus the cores the host actually allowed — a 1-CPU container cannot show
-# multi-core speedups, and the trajectory must say so.
+# Record the parallel configuration behind the shard-suffixed bench ids
+# (burst/parallel_ingress/shards{N}) plus the cores the host actually
+# allowed — a 1-CPU container cannot show multi-core speedups, and the
+# trajectory must say so.
 try:
     host_cpus = len(os.sched_getaffinity(0))
 except AttributeError:
     host_cpus = os.cpu_count() or 1
 doc["parallel_config"] = {
-    "engine_threads": [1, 4],
     "forwarder_shards": [1, 4],
-    "host_usable_cpus": host_cpus,
-}
-# Ditto for the horizon-scheduler group (engine/horizon/{multi_cluster,t1,t4}):
-# multi_cluster is the legacy-loop reference on the same 3-cluster pass; the
-# t{N} rows run the conservative horizon scheduler. On a 1-CPU host the
-# pooled group-advance path is skipped, so t1/t4 measure pure window
-# bookkeeping, not parallel speedup.
-doc["horizon"] = {
-    "reference": "engine/horizon/multi_cluster",
-    "engine_threads": [1, 4],
     "host_usable_cpus": host_cpus,
 }
 with open(merged_path, "w") as f:

@@ -1,26 +1,17 @@
 //! Dispatch-mode equivalence: the same gateway-pipeline workload must
 //! produce identical replies, identical domain metrics, and identical
-//! CS/PIT end state across **four** execution modes:
+//! CS/PIT end state across **three** execution modes:
 //!
 //! 1. sequential — batching off, every message through `on_message`;
 //! 2. batched — engine `on_batch` coalescing + forwarder wire batching +
-//!    the gateway's amortized batch handlers (threads 1, shards 1);
-//! 3. batched + parallel — engine waves over distinct Concurrent actors
-//!    (2 and 4 worker threads) *and* 4-way name-hash-sharded forwarder
-//!    tables with the two-phase parallel burst ingress;
-//! 4. horizon — the conservative lookahead scheduler (docs/ENGINE.md):
-//!    each client forwarder lives in its own actor group and runs ahead
-//!    of the global clock within the 2 ms WAN-link lookahead, at 1 and 4
-//!    worker threads and 1/4-way shards.
+//!    the gateway's amortized batch handlers (shards 1);
+//! 3. batched + sharded — 4-way name-hash-sharded forwarder tables with
+//!    the two-phase parallel burst ingress.
 //!
-//! Every world is built with the per-client groups (they are inert in
-//! legacy mode), so all four modes execute the *identical* topology.
-//!
-//! This is the safety net for the batching, parallel-dispatch, *and*
-//! horizon refactors: any ordering bug in burst coalescing, the per-link
-//! flush, wave effect/metric merging, shard routing, the phased ingress,
-//! window limits, or cross-group event routing shows up as a divergence
-//! here.
+//! This is the safety net for the batching and sharding refactors: any
+//! ordering bug in burst coalescing, the per-link flush, shard routing or
+//! the phased ingress shows up as a divergence here, and the golden digest
+//! in `tests/golden/` pins the result itself.
 
 mod common;
 
@@ -61,13 +52,11 @@ impl Actor for Sink {
     }
 }
 
-/// One execution mode of the four-way comparison.
+/// One execution mode of the three-way comparison.
 #[derive(Debug, Clone, Copy)]
 struct Mode {
     batching: bool,
-    threads: usize,
     shards: usize,
-    horizon: bool,
 }
 
 /// End-state fingerprint of one run.
@@ -76,9 +65,8 @@ struct Fingerprint {
     /// Sorted replies (ordering within one instant is not part of the
     /// equivalence contract; the *set* of replies is).
     replies: Vec<(String, String, Vec<u8>)>,
-    /// Every metrics counter except the batching/parallel/horizon
-    /// observability counters, which exist only on the modes that use
-    /// those paths.
+    /// Every metrics counter except the batching/parallel observability
+    /// counters, which exist only on the modes that use those paths.
     counters: BTreeMap<String, u64>,
     /// (cached names, PIT size) per forwarder: two clients, gateway, lake.
     tables: Vec<(Vec<String>, usize)>,
@@ -87,7 +75,7 @@ struct Fingerprint {
 }
 
 /// Interests per client forwarder. Over the forwarder's parallel-ingress
-/// threshold (64) so mode 3 genuinely takes the threaded shard phase.
+/// threshold (64) so mode 3 genuinely takes the two-phase shard path.
 const BURST: u32 = 72;
 
 fn send_burst(sim: &mut Sim, fwd: ActorId, face: lidc_ndn::face::FaceId, tag_base: u32) {
@@ -126,8 +114,6 @@ fn send_burst(sim: &mut Sim, fwd: ActorId, face: lidc_ndn::face::FaceId, tag_bas
 fn run(mode: Mode) -> Fingerprint {
     let mut sim = Sim::new(99);
     sim.set_batching(mode.batching);
-    sim.set_threads(mode.threads);
-    sim.set_horizon(mode.horizon);
     let alloc = FaceIdAlloc::new();
     let cluster = LidcCluster::deploy(&mut sim, &alloc, LidcClusterConfig {
         nodes: 2,
@@ -138,16 +124,10 @@ fn run(mode: Mode) -> Fingerprint {
         forwarder_shards: mode.shards,
         ..LidcClusterConfig::named("eq")
     });
-    // Two client forwarders receiving same-instant bursts: with threads > 1
-    // their runs execute as one engine wave (both are Concurrent actors).
-    // Each client (forwarder + sink) gets its own actor group — inert in
-    // legacy mode, a horizon-advanceable partition with the 2 ms link
-    // lookahead (auto-declared by `connect`) in horizon mode.
+    // Two client forwarders receiving same-instant bursts.
     let fwd_config = ForwarderConfig::default().with_shards(mode.shards);
     let mut clients = Vec::new();
     for c in 0..2 {
-        let group = sim.new_group(format!("client-{c}"));
-        let prev = sim.set_default_group(group);
         let client_fwd = sim.spawn(
             format!("client-fwd-{c}"),
             Forwarder::new(format!("client-fwd-{c}"), fwd_config.clone()),
@@ -162,7 +142,6 @@ fn run(mode: Mode) -> Fingerprint {
         cluster.register_on(&mut sim, client_fwd, to_gw, 0);
         let sink = sim.spawn(format!("sink-{c}"), Sink { replies: vec![] });
         let sink_face = attach_app(&mut sim, client_fwd, sink, &alloc);
-        sim.set_default_group(prev);
         clients.push((client_fwd, sink, sink_face));
     }
 
@@ -204,15 +183,6 @@ fn run(mode: Mode) -> Fingerprint {
         .flat_map(|(_, sink, _)| sim.actor::<Sink>(*sink).unwrap().replies.clone())
         .collect();
     replies.sort();
-    if mode.horizon {
-        // Guard against the horizon rows silently degenerating to pure
-        // tie-steps (which would re-test the legacy loop): groups must
-        // actually advance ahead through windows.
-        assert!(
-            sim.metrics_ref().counter("sim.horizon.advances") > 0,
-            "horizon mode ran no group windows"
-        );
-    }
     // Runtime metric-key drift guard: every key this run recorded must
     // be in the registry the static lint checks literals against.
     let bad = lidc_simcore::metrics_keys::unregistered(
@@ -222,9 +192,7 @@ fn run(mode: Mode) -> Fingerprint {
     let counters: BTreeMap<String, u64> = sim
         .metrics_ref()
         .counter_names()
-        .filter(|name| {
-            !name.contains("batch") && !name.contains("parallel") && !name.contains("horizon")
-        })
+        .filter(|name| !name.contains("batch") && !name.contains("parallel"))
         .map(|name| (name.to_owned(), sim.metrics_ref().counter(name)))
         .collect();
     let tables = [
@@ -255,18 +223,10 @@ fn run(mode: Mode) -> Fingerprint {
 }
 
 #[test]
-fn sequential_batched_parallel_and_horizon_dispatch_agree() {
+fn sequential_batched_and_sharded_dispatch_agree() {
     let sequential = run(Mode {
         batching: false,
-        threads: 1,
         shards: 1,
-        horizon: false,
-    });
-    let batched = run(Mode {
-        batching: true,
-        threads: 1,
-        shards: 1,
-        horizon: false,
     });
     assert!(!sequential.replies.is_empty());
     // Every mode below must equal `sequential`, so pinning its digest pins
@@ -275,53 +235,15 @@ fn sequential_batched_parallel_and_horizon_dispatch_agree() {
         "batch_equivalence_sha256",
         &to_hex(&sha256(format!("{sequential:?}").as_bytes())),
     );
-    assert_eq!(sequential.replies, batched.replies, "reply sets diverge (batched)");
-    assert_eq!(sequential.counters, batched.counters, "metrics diverge (batched)");
-    assert_eq!(sequential.tables, batched.tables, "CS/PIT end-state diverges (batched)");
-    assert_eq!(sequential.gateway_stats, batched.gateway_stats);
-
-    for threads in [2usize, 4] {
-        let parallel = run(Mode {
-            batching: true,
-            threads,
-            shards: 4,
-            horizon: false,
-        });
-        assert_eq!(
-            sequential.replies, parallel.replies,
-            "reply sets diverge (threads={threads}, shards=4)"
-        );
-        assert_eq!(
-            sequential.counters, parallel.counters,
-            "metrics diverge (threads={threads}, shards=4)"
-        );
-        assert_eq!(
-            sequential.tables, parallel.tables,
-            "CS/PIT end-state diverges (threads={threads}, shards=4)"
-        );
-        assert_eq!(sequential.gateway_stats, parallel.gateway_stats);
-    }
-
-    for (threads, shards) in [(1usize, 1usize), (4, 4)] {
-        let horizon = run(Mode {
-            batching: true,
-            threads,
-            shards,
-            horizon: true,
-        });
-        assert_eq!(
-            sequential.replies, horizon.replies,
-            "reply sets diverge (horizon, threads={threads}, shards={shards})"
-        );
-        assert_eq!(
-            sequential.counters, horizon.counters,
-            "metrics diverge (horizon, threads={threads}, shards={shards})"
-        );
-        assert_eq!(
-            sequential.tables, horizon.tables,
-            "CS/PIT end-state diverges (horizon, threads={threads}, shards={shards})"
-        );
-        assert_eq!(sequential.gateway_stats, horizon.gateway_stats);
+    for (label, mode) in [
+        ("batched", Mode { batching: true, shards: 1 }),
+        ("batched, shards=4", Mode { batching: true, shards: 4 }),
+    ] {
+        let other = run(mode);
+        assert_eq!(sequential.replies, other.replies, "reply sets diverge ({label})");
+        assert_eq!(sequential.counters, other.counters, "metrics diverge ({label})");
+        assert_eq!(sequential.tables, other.tables, "CS/PIT end-state diverges ({label})");
+        assert_eq!(sequential.gateway_stats, other.gateway_stats, "gateway stats ({label})");
     }
 }
 
@@ -375,26 +297,19 @@ fn batched_path_actually_batched() {
 
 #[test]
 fn parallel_paths_actually_exercised() {
-    // Guard for mode 3 of the equivalence test: with threads > 1 and
-    // shards > 1 the run must register engine waves *and* threaded
-    // forwarder ingress runs, or the three-way comparison proves nothing.
-    let mode = Mode {
-        batching: true,
-        threads: 4,
-        shards: 4,
-        horizon: false,
-    };
+    // Guard for mode 3 of the equivalence test: with shards > 1 the run
+    // must register two-phase forwarder ingress runs, or the three-way
+    // comparison proves nothing.
+    let shards = 4;
     let mut sim = Sim::new(99);
-    sim.set_batching(mode.batching);
-    sim.set_threads(mode.threads);
     let alloc = FaceIdAlloc::new();
     let cluster = LidcCluster::deploy(&mut sim, &alloc, LidcClusterConfig {
         nodes: 2,
         load_datasets: false,
-        forwarder_shards: mode.shards,
+        forwarder_shards: shards,
         ..LidcClusterConfig::named("eq3")
     });
-    let fwd_config = ForwarderConfig::default().with_shards(mode.shards);
+    let fwd_config = ForwarderConfig::default().with_shards(shards);
     let mut clients = Vec::new();
     for c in 0..2 {
         let client_fwd = sim.spawn(
@@ -417,11 +332,9 @@ fn parallel_paths_actually_exercised() {
         send_burst(&mut sim, *client_fwd, *sink_face, (c as u32) * 10_000);
     }
     sim.run_until(sim.now() + SimDuration::from_millis(100));
-    let m = sim.metrics_ref();
-    assert!(m.counter("sim.parallel.waves") > 0, "engine ran parallel waves");
     assert!(
-        m.counter("ndn.parallel.runs") > 0,
-        "forwarders ran threaded shard phases"
+        sim.metrics_ref().counter("ndn.parallel.runs") > 0,
+        "forwarders ran two-phase shard ingress"
     );
     for (_, sink, _) in &clients {
         assert!(!sim.actor::<Sink>(*sink).unwrap().replies.is_empty());

@@ -2,7 +2,7 @@
 //!
 //! Every scenario drives faults through [`FaultController`] — the seeded,
 //! deterministic fault layer — never by ad-hoc test pokes, so the same
-//! schedule replays bit-identically across runs and thread counts:
+//! schedule replays bit-identically across runs and shard counts:
 //!
 //! 1. a WAN link cut strands an in-flight Interest → the forwarder
 //!    retransmits it over the alternate face (no timeout, no client retry);
@@ -12,9 +12,9 @@
 //!    client still sees the job complete;
 //! 4. LIDC vs the centralized baseline under the *same* fault schedule →
 //!    LIDC completes at least as many jobs;
-//! 5. the whole chaos run is deterministic: same seed + schedule at 1 and
-//!    4 worker threads (and 4-way sharded forwarders) → identical
-//!    outcomes, metrics, and fault timelines;
+//! 5. the whole chaos run is deterministic: same seed + schedule with 1-
+//!    and 4-way sharded forwarders and on every rerun → identical
+//!    outcomes and fault timelines, pinned by `tests/golden/`;
 //! 6. generated random schedules (all fault families, including byzantine
 //!    producers and region outages) replay bit-identically;
 //! 7. duplicate submissions share one Interest and all terminate;
@@ -299,64 +299,34 @@ fn lidc_beats_baseline_under_identical_fault_schedule() {
 
 /// Scenario 5: chaos is deterministic. The same seed + schedule must
 /// produce byte-identical outcomes (counts, p99, wasted work, fault
-/// timeline) at 1 and 4 worker threads, with 1- and 4-way-sharded
-/// forwarder tables, under the horizon scheduler, and across repeat runs.
+/// timeline) with 1- and 4-way-sharded forwarder tables and across repeat
+/// runs, equal to the recorded golden.
 #[test]
-fn chaos_outcome_identical_across_threads_shards_horizon_and_reruns() {
-    let serial = ChaosConfig::standard(777);
-    let mut wide = serial.clone();
-    wide.threads = 4;
+fn chaos_outcome_identical_across_shards_and_reruns() {
+    let cfg = ChaosConfig::standard(777);
+    let lidc = lidc_across_shards_and_reruns(&cfg);
+    assert_golden("chaos5_standard_777_lidc", &lidc.fingerprint());
+
+    let baseline = run_baseline_chaos(&cfg);
+    let mut wide = cfg.clone();
     wide.shards = 4;
-    let mut hz = serial.clone();
-    hz.horizon_mode = true;
-    let mut hz_wide = wide.clone();
-    hz_wide.horizon_mode = true;
-
-    let lidc_serial = run_lidc_chaos(&serial);
-    let lidc_wide = run_lidc_chaos(&wide);
-    let lidc_again = run_lidc_chaos(&serial);
     assert_eq!(
-        lidc_serial.fingerprint(),
-        lidc_wide.fingerprint(),
-        "LIDC chaos outcome depends on thread/shard count"
+        baseline.fingerprint(),
+        run_baseline_chaos(&wide).fingerprint(),
+        "baseline chaos outcome depends on shard count"
     );
-    assert_eq!(lidc_serial.fingerprint(), lidc_again.fingerprint());
-    assert_golden("chaos5_standard_777_lidc", &lidc_serial.fingerprint());
-    assert_eq!(
-        lidc_serial.fingerprint(),
-        run_lidc_chaos(&hz).fingerprint(),
-        "LIDC chaos outcome depends on the engine mode (horizon, serial)"
-    );
-    assert_eq!(
-        lidc_serial.fingerprint(),
-        run_lidc_chaos(&hz_wide).fingerprint(),
-        "LIDC chaos outcome depends on the engine mode (horizon, 4 threads)"
-    );
-
-    let base_serial = run_baseline_chaos(&serial);
-    let base_wide = run_baseline_chaos(&wide);
-    assert_eq!(
-        base_serial.fingerprint(),
-        base_wide.fingerprint(),
-        "baseline chaos outcome depends on thread/shard count"
-    );
-    assert_eq!(
-        base_serial.fingerprint(),
-        run_baseline_chaos(&hz).fingerprint(),
-        "baseline chaos outcome depends on the engine mode"
-    );
-    assert_golden("chaos5_standard_777_baseline", &base_serial.fingerprint());
+    assert_golden("chaos5_standard_777_baseline", &baseline.fingerprint());
 }
 
 /// Scenario 6: *generated* random schedules, not just the hand-written
 /// one. Each seed draws a fresh fault mix through
 /// [`FaultSchedule::generate`] from a dedicated RNG stream; the run must
-/// still be bit-identical across 1/4 worker threads × 1/4-way-sharded
-/// forwarders. This is what lets CI throw a different storm at every
+/// still be bit-identical across 1/4-way-sharded forwarders and reruns.
+/// This is what lets CI throw a different storm at every
 /// scenario without ever producing an unreproducible failure: any red run
 /// replays exactly from its seed.
 #[test]
-fn generated_schedules_are_deterministic_across_threads_and_shards() {
+fn generated_schedules_are_deterministic_across_shards() {
     for seed in [0xC0FFEE_u64, 31_337] {
         let profile = ChaosProfile {
             horizon: SimDuration::from_secs(120),
@@ -401,25 +371,8 @@ fn generated_schedules_are_deterministic_across_threads_and_shards() {
         cfg.schedule = schedule;
         cfg.horizon = SimDuration::from_mins(30);
 
-        let mut fingerprints = Vec::new();
-        for (threads, shards, horizon_mode) in
-            [(1, 1, false), (1, 4, false), (4, 1, false), (4, 4, false), (1, 1, true), (4, 4, true)]
-        {
-            let mut c = cfg.clone();
-            c.threads = threads;
-            c.shards = shards;
-            c.horizon_mode = horizon_mode;
-            fingerprints.push((threads, shards, horizon_mode, run_lidc_chaos(&c).fingerprint()));
-        }
-        let (_, _, _, reference) = &fingerprints[0];
-        for (threads, shards, horizon_mode, fp) in &fingerprints {
-            assert_eq!(
-                fp, reference,
-                "seed {seed:#x}: outcome at {threads} threads / {shards} shards \
-                 (horizon: {horizon_mode}) diverged"
-            );
-        }
-        assert_golden(&format!("chaos6_generated_{seed:x}_lidc"), reference);
+        let lidc = lidc_across_shards_and_reruns(&cfg);
+        assert_golden(&format!("chaos6_generated_{seed:x}_lidc"), &lidc.fingerprint());
         assert_golden(
             &format!("chaos6_generated_{seed:x}_baseline"),
             &run_baseline_chaos(&cfg).fingerprint(),
@@ -500,29 +453,24 @@ fn duplicate_submissions_share_a_name_and_all_terminate() {
     );
 }
 
-/// Run the LIDC world across the full engine matrix — 1/4 worker threads ×
-/// 1/4-way-sharded forwarders × legacy/horizon scheduler — and demand
-/// bit-identical fingerprints. Returns the reference outcome.
-fn lidc_across_engine_matrix(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosOutcome {
+/// Run the LIDC world with 1- and 4-way-sharded forwarders, twice each,
+/// and demand bit-identical fingerprints. Returns the reference outcome.
+fn lidc_across_shards_and_reruns(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosOutcome {
     let mut reference = None;
-    for (threads, shards, horizon_mode) in
-        [(1, 1, false), (1, 4, false), (4, 1, false), (4, 4, false), (1, 1, true), (4, 4, true)]
-    {
+    for shards in [1, 4, 1, 4] {
         let mut c = cfg.clone();
-        c.threads = threads;
         c.shards = shards;
-        c.horizon_mode = horizon_mode;
         let outcome = run_lidc_chaos(&c);
         match &reference {
             None => reference = Some(outcome),
             Some(r) => assert_eq!(
                 outcome.fingerprint(),
                 r.fingerprint(),
-                "outcome at {threads} threads / {shards} shards (horizon: {horizon_mode}) diverged"
+                "outcome at {shards} shards diverged"
             ),
         }
     }
-    reference.expect("matrix ran")
+    reference.expect("at least one run")
 }
 
 /// Scenario 8: a byzantine producer. From t=15s on, `east`'s gateway
@@ -530,13 +478,13 @@ fn lidc_across_engine_matrix(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosO
 /// name. The first-hop verification gate must reject each forgery before
 /// it can satisfy a PIT entry or enter a Content Store, the clients'
 /// resubmission path must steer the whole job stream to the honest
-/// clusters, and the run must stay bit-identical across the engine matrix.
+/// clusters, and the run must stay bit-identical across shards and reruns.
 /// (`run_lidc_chaos` additionally scans every forwarder's CS shard for
 /// unverifiable Data after the run.)
 #[test]
 fn byzantine_producer_is_contained_and_lidc_still_completes() {
     let cfg = ChaosConfig::byzantine(4242);
-    let lidc = lidc_across_engine_matrix(&cfg);
+    let lidc = lidc_across_shards_and_reruns(&cfg);
     let baseline = run_baseline_chaos(&cfg);
     assert_golden("chaos8_byzantine_4242_lidc", &lidc.fingerprint());
     assert_golden("chaos8_byzantine_4242_baseline", &baseline.fingerprint());
@@ -569,12 +517,12 @@ fn byzantine_producer_is_contained_and_lidc_still_completes() {
 /// `west` **and** `east` together at t=30s (both WAN links in the LIDC
 /// world, both node pools in the baseline world) and one heal restores
 /// them together at t=90s. LIDC must ride out the outage on the surviving
-/// `south` and complete the entire job stream, bit-identically across the
-/// engine matrix.
+/// `south` and complete the entire job stream, bit-identically across
+/// shards and reruns.
 #[test]
 fn region_outage_takes_down_the_region_together_and_heals() {
     let cfg = ChaosConfig::region_outage(31_415);
-    let lidc = lidc_across_engine_matrix(&cfg);
+    let lidc = lidc_across_shards_and_reruns(&cfg);
     let baseline = run_baseline_chaos(&cfg);
     assert_golden("chaos9_region_outage_31415_lidc", &lidc.fingerprint());
     assert_golden("chaos9_region_outage_31415_baseline", &baseline.fingerprint());

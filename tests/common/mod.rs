@@ -14,8 +14,7 @@ pub fn assert_golden(name: &str, actual: &str) {
         .join("tests/golden")
         .join(format!("{name}.txt"));
     if std::env::var_os("LIDC_UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, actual)
-            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        std::fs::write(&path, actual).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         return;
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {

@@ -105,10 +105,13 @@ fn module_of(rel_path: &str) -> Vec<String> {
     module
 }
 
+/// One scanned file: its classification, lexed stream, and `#[test]` /
+/// `#[cfg(test)]` line regions.
+pub type ScannedFile = (FileCtx, Lexed, Vec<(u32, u32)>);
+
 impl Workspace {
-    /// Build the symbol graph over `files` (classification + lexed stream +
-    /// test regions per file, in scan order).
-    pub fn build(files: Vec<(FileCtx, Lexed, Vec<(u32, u32)>)>) -> Workspace {
+    /// Build the symbol graph over `files`, in scan order.
+    pub fn build(files: Vec<ScannedFile>) -> Workspace {
         let mut ws = Workspace {
             files: Vec::new(),
             fns: Vec::new(),
@@ -638,11 +641,9 @@ pub fn base_ty_of(toks: &[Tok], win: &[usize]) -> Option<String> {
                 "where" => break,
                 _ => last = Some(t.text.clone()),
             }
-        } else if t.is_punct('(') {
+        } else if t.is_punct('(') && last.is_none() {
             // Tuple / fn-pointer type — no single base ident.
-            if last.is_none() {
-                return None;
-            }
+            return None;
         }
     }
     last

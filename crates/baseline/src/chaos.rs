@@ -7,8 +7,8 @@
 //! every one of the controller's blind spots. This module stands up both
 //! worlds from one [`ChaosConfig`] — same seed, same job stream, same
 //! [`FaultSchedule`] — and reduces each run to a [`ChaosOutcome`] whose
-//! [`ChaosOutcome::fingerprint`] is bit-stable across shard counts and
-//! repeat runs (the determinism contract of [`lidc_simcore::faults`]).
+//! [`ChaosOutcome::fingerprint`] is bit-stable across repeat runs (the
+//! determinism contract of [`lidc_simcore::faults`]).
 //!
 //! ## Fault mapping
 //!
@@ -60,7 +60,7 @@ use lidc_simcore::time::SimDuration;
 use crate::central::{CentralController, CentralPolicy};
 use crate::client::{CentralClient, SubmitCentral};
 
-/// One chaos experiment: topology, workload, faults, and determinism knobs.
+/// One chaos experiment: topology, workload, faults, and run length.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Master seed (drives the sim and, transitively, every actor stream).
@@ -75,9 +75,6 @@ pub struct ChaosConfig {
     pub nodes_per_cluster: u32,
     /// The shared fault schedule.
     pub schedule: FaultSchedule,
-    /// PIT/CS shard count for every forwarder (outcomes must not depend
-    /// on this).
-    pub shards: usize,
     /// Gap between successive job submissions.
     pub submit_spacing: SimDuration,
     /// Hard stop for the run.
@@ -123,7 +120,6 @@ impl ChaosConfig {
             ],
             nodes_per_cluster: 2,
             schedule,
-            shards: 1,
             submit_spacing: SimDuration::from_secs(10),
             horizon: SimDuration::from_mins(60),
         }
@@ -229,8 +225,7 @@ impl ChaosOutcome {
 
     /// A deterministic digest of everything observable: counts, latency,
     /// wasted work and the full fault timeline. Two runs of the same
-    /// config must produce byte-identical fingerprints regardless of
-    /// shard count.
+    /// config must produce byte-identical fingerprints.
     pub fn fingerprint(&self) -> String {
         format!(
             "{} submitted={} completed={} failed={} resubmits={} p99={:?} \
@@ -378,18 +373,16 @@ fn degrade(
 
 /// The poisoned-cache invariant: **no** forwarder may hold Data that
 /// fails signature verification, no matter what byzantine producers or
-/// bit-flipping links did during the run. Asserted over every shard of
-/// every listed forwarder's Content Store after each chaos run.
+/// bit-flipping links did during the run. Asserted over every listed
+/// forwarder's Content Store after each chaos run.
 pub fn assert_no_poisoned_cache(sim: &Sim, forwarders: &[(String, ActorId)]) {
     for (label, id) in forwarders {
         let fwd = sim.actor::<Forwarder>(*id).expect("forwarder");
-        for shard in fwd.cs().shards() {
-            for (name, data) in shard.entries() {
-                assert!(
-                    data.verify(None),
-                    "unverifiable Data cached in {label}'s Content Store: {name}"
-                );
-            }
+        for (name, data) in fwd.cs().entries() {
+            assert!(
+                data.verify(None),
+                "unverifiable Data cached in {label}'s Content Store: {name}"
+            );
         }
     }
 }
@@ -419,7 +412,6 @@ pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                 ClusterSpec::new(name.clone(), *latency).with_nodes(cfg.nodes_per_cluster, 16, 64)
             })
             .collect(),
-        forwarder_shards: cfg.shards.max(1),
         // The generic chaos job needs no lake input; the baseline world
         // loads no datasets either.
         load_datasets: false,
@@ -536,10 +528,7 @@ pub fn run_baseline_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let alloc = FaceIdAlloc::new();
     let router = sim.spawn(
         "router",
-        Forwarder::new("router", ForwarderConfig {
-            shards: cfg.shards.max(1),
-            ..Default::default()
-        }),
+        Forwarder::new("router", ForwarderConfig::default()),
     );
     let controller =
         CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);

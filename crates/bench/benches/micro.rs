@@ -367,118 +367,6 @@ fn bench_burst(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sharded parallel forwarder ingress: one forwarder cycles a 4096-packet
-/// request/reply burst — N same-instant Interests (DNL probe + CS lookup +
-/// PIT insert + forward), then the producer's N same-instant Data replies
-/// (PIT match/take + CS insert + dead-nonce retirement + delivery). With
-/// `shards1` the legacy serial ingress runs; with `shards4` the burst takes
-/// the two-phase ingress, probing 4 name-hash shards on scoped threads
-/// (see `lidc_ndn::forwarder` module docs). Identical packets, identical
-/// replies — the configs differ only in intra-forwarder parallelism.
-fn bench_parallel_ingress(c: &mut Criterion) {
-    use lidc_ndn::face::FaceIdAlloc;
-    use lidc_ndn::forwarder::{AppRx, Forwarder, ForwarderConfig, Rx};
-    use lidc_ndn::net::attach_app;
-    use lidc_ndn::packet::Packet;
-    use lidc_simcore::engine::{Actor, ActorId, Ctx, Msg, Sim};
-
-    const BURST: usize = 4096;
-    /// One distinct name per packet (same-name Interests would aggregate in
-    /// the PIT instead of exercising the full path); rounds reuse the same
-    /// name set — Interests are MustBeFresh and replies carry no freshness,
-    /// so each round's lookups evict the stale previous generation instead
-    /// of accreting CS state.
-    const NAMES: usize = BURST;
-
-    /// Replies to every Interest with a small Data (pre-built payload).
-    struct Producer {
-        fwd: ActorId,
-        payload: bytes::Bytes,
-    }
-    impl Actor for Producer {
-        fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-            if let Ok(rx) = msg.downcast::<AppRx>() {
-                if let Packet::Interest(i) = rx.packet {
-                    // Signed: forwarders verify Data before CS admission,
-                    // so an unsigned reply would be dropped at the gate.
-                    let data = Data::new(i.name, self.payload.clone()).sign_digest();
-                    ctx.send(self.fwd, Rx {
-                        face: rx.face,
-                        packet: Packet::Data(data),
-                    });
-                }
-            }
-        }
-    }
-    /// Counts delivered Data.
-    struct Sink {
-        got: u64,
-    }
-    impl Actor for Sink {
-        fn on_message(&mut self, msg: Msg, _ctx: &mut Ctx<'_>) {
-            if let Ok(rx) = msg.downcast::<AppRx>() {
-                if matches!(rx.packet, Packet::Data(_)) {
-                    self.got += 1;
-                }
-            }
-        }
-    }
-
-    let mut g = c.benchmark_group("burst");
-    g.sample_size(10);
-    for &shards in &[1usize, 4] {
-        let mut sim = Sim::new(7);
-        let alloc = FaceIdAlloc::new();
-        let fwd = sim.spawn(
-            "fwd",
-            Forwarder::new("fwd", ForwarderConfig::default().with_shards(shards)),
-        );
-        let producer_probe = sim.spawn("producer-probe", Sink { got: 0 });
-        let _ = producer_probe; // keep actor ids stable across edits
-        let sink = sim.spawn("sink", Sink { got: 0 });
-        let sink_face = attach_app(&mut sim, fwd, sink, &alloc);
-        let producer = sim.spawn("producer", Producer {
-            fwd,
-            payload: bytes::Bytes::from(vec![7u8; 64]),
-        });
-        let prod_face = attach_app(&mut sim, fwd, producer, &alloc);
-        sim.actor_mut::<Forwarder>(fwd)
-            .unwrap()
-            .register_prefix(Name::parse("/bench").unwrap(), prod_face, 0);
-        // Pre-parse the name universe once: the bench measures the
-        // forwarder, not Name::parse.
-        let names: Vec<Name> = (0..NAMES)
-            .map(|i| Name::parse(&format!("/bench/obj-{i}")).unwrap())
-            .collect();
-        let mut round = 0u64;
-        g.throughput(Throughput::Elements(BURST as u64));
-        g.bench_with_input(
-            BenchmarkId::new("parallel_ingress", format!("shards{shards}")),
-            &shards,
-            |b, _| {
-                b.iter(|| {
-                    round += 1;
-                    for i in 0..BURST {
-                        let name = names[(i + (round as usize * BURST)) % NAMES].clone();
-                        let interest = Interest::new(name)
-                            .must_be_fresh(true)
-                            .with_nonce((round as u32) << 13 | i as u32);
-                        sim.send(fwd, Rx {
-                            face: sink_face,
-                            packet: Packet::Interest(interest),
-                        });
-                    }
-                    sim.run();
-                    let got = sim.actor::<Sink>(sink).unwrap().got;
-                    assert_eq!(got, round * BURST as u64, "every Interest answered");
-                    got
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
 /// K8s control-loop pass cost against a large resident pod population:
 /// `jobs_pass` is the Job controller pass reading the persistent
 /// pods-by-job index (O(jobs)); `jobs_pass_swept` measures the per-pass
@@ -666,7 +554,6 @@ criterion_group!(
     bench_cs_eviction,
     bench_cs_churn,
     bench_burst,
-    bench_parallel_ingress,
     bench_k8s_reconcile,
     bench_align,
     bench_chaos_recovery

@@ -66,14 +66,11 @@ fn build_world(args: &Args) -> Result<(Sim, Overlay, ActorId), String> {
         "cs-budget-bytes",
         lidc_ndn::tables::cs::default_budget_bytes(router_cs_capacity),
     )?;
-    // Forwarder table sharding (1 = single-shard tables, serial ingress).
-    let forwarder_shards = args.get_u64("forwarder-shards", 1)?.max(1) as usize;
     let overlay = Overlay::build(&mut sim, OverlayConfig {
         placement: placement(args)?,
         clusters: cluster_specs(args)?,
         router_cs_capacity,
         router_cs_budget_bytes,
-        forwarder_shards,
         ..defaults
     });
     let alloc = overlay.alloc.clone();
@@ -304,7 +301,6 @@ pub fn chaos(args: &Args) -> CmdResult {
     };
     cfg.jobs = u32::try_from(args.get_u64("jobs", u64::from(cfg.jobs))?)
         .map_err(|_| "--jobs out of range".to_owned())?;
-    cfg.shards = usize::try_from(args.get_u64("forwarder-shards", 1)?).unwrap_or(1);
     println!("fault schedule (seed {seed}):");
     for event in cfg.schedule.events() {
         println!("  {event}");
@@ -341,7 +337,7 @@ COMMANDS
   catalog     list the datasets a deployed cluster publishes [--seed N] [--limit N]
   topology    show overlay members, latencies and routed prefixes + world flags
   chaos       LIDC vs centralized baseline under one deterministic fault
-              schedule [--seed N] [--jobs N] [--forwarder-shards N]
+              schedule [--seed N] [--jobs N]
               [--schedule standard|byzantine|region-outage]
   experiment  list the table/figure reproduction harnesses
   help        this text
@@ -354,8 +350,6 @@ WORLD FLAGS (submit, fetch, topology)
   --router-cs-capacity N    access-router Content Store entries (default 4096; 0 = off)
   --cs-budget-bytes N       access-router Content Store byte budget
                             (default capacity x 1 MiB; 0 = no byte limit)
-  --forwarder-shards N      PIT/CS/DNL shards per forwarder (default 1; >1
-                            enables the two-phase parallel burst ingress)
 
 A flag the command does not read is an error (exit code 2)."
     );
@@ -370,7 +364,6 @@ const WORLD_FLAGS: &[&str] = &[
     "placement",
     "router-cs-capacity",
     "cs-budget-bytes",
-    "forwarder-shards",
 ];
 
 /// One `lidc` subcommand and the flags it reads.
@@ -445,7 +438,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "chaos",
         run: chaos,
-        flags: &["seed", "jobs", "forwarder-shards", "schedule"],
+        flags: &["seed", "jobs", "schedule"],
         builds_world: false,
     },
     Command {
@@ -479,8 +472,8 @@ mod tests {
 
     #[test]
     fn unknown_flag_is_rejected_by_name() {
-        let err = check("chaos --forwarder-shard 4").unwrap_err();
-        assert!(err.contains("--forwarder-shard"), "{err}");
+        let err = check("chaos --job 4").unwrap_err();
+        assert!(err.contains("--job"), "{err}");
         assert!(
             check("load-data --seed 1").is_err(),
             "load-data reads no flags"
@@ -489,9 +482,14 @@ mod tests {
 
     #[test]
     fn threads_flag_is_rejected() {
-        for line in ["submit --threads 4", "chaos --threads 4"] {
+        for (line, flag) in [
+            ("submit --threads 4", "--threads"),
+            ("chaos --threads 4", "--threads"),
+            ("submit --forwarder-shards 4", "--forwarder-shards"),
+            ("chaos --forwarder-shards 4", "--forwarder-shards"),
+        ] {
             let err = check(line).unwrap_err();
-            assert!(err.contains("--threads"), "{line}: {err}");
+            assert!(err.contains(flag), "{line}: {err}");
         }
     }
 
@@ -506,7 +504,7 @@ mod tests {
     #[test]
     fn every_flag_in_help_is_accepted() {
         let world = "--seed 1 --clusters a:5ms --placement nearest --router-cs-capacity 8 \
-                     --cs-budget-bytes 0 --forwarder-shards 2";
+                     --cs-budget-bytes 0";
         for line in [
             format!(
                 "submit --app BLAST --srr S --ref HUMAN --cpu 2 --mem 4 --input x --url u \
@@ -515,7 +513,7 @@ mod tests {
             format!("fetch --name /n --srr S {world}"),
             format!("topology {world}"),
             "catalog --seed 1 --limit 5".to_owned(),
-            "chaos --seed 1 --jobs 3 --forwarder-shards 2 --schedule byzantine".to_owned(),
+            "chaos --seed 1 --jobs 3 --schedule byzantine".to_owned(),
             "load-data".to_owned(),
             "experiment".to_owned(),
             "help".to_owned(),

@@ -59,10 +59,6 @@ pub struct LidcClusterConfig {
     /// limit; the default derives from the default CS capacity, one 1 MiB
     /// segment per entry slot).
     pub cs_budget_bytes: u64,
-    /// PIT/CS/DNL shard count for the cluster's two NFDs (1 = single-shard
-    /// tables and serial ingress; see
-    /// [`lidc_ndn::forwarder::ForwarderConfig::shards`]).
-    pub forwarder_shards: usize,
     /// Submit-ack freshness (see [`GatewayConfig::ack_freshness`]).
     pub ack_freshness: SimDuration,
     /// Whether to run the data-loading tool at deploy time (paper §V-B).
@@ -81,7 +77,6 @@ impl Default for LidcClusterConfig {
             result_cache_capacity: 0,
             result_cache_budget_bytes: 0,
             cs_budget_bytes: ForwarderConfig::default().cs_budget_bytes,
-            forwarder_shards: 1,
             ack_freshness: SimDuration::ZERO,
             load_datasets: true,
             internal_latency: SimDuration::from_micros(200),
@@ -167,7 +162,6 @@ impl LidcCluster {
         // --- NDN forwarders ---
         let nfd_config = ForwarderConfig {
             cs_budget_bytes: config.cs_budget_bytes,
-            shards: config.forwarder_shards.max(1),
             ..Default::default()
         };
         let gateway_fwd = sim.spawn(

@@ -107,12 +107,6 @@ pub struct OverlayConfig {
     /// `lidc_ndn::tables::cs::default_budget_bytes(capacity)`) so the
     /// budget tracks the new capacity.
     pub router_cs_budget_bytes: u64,
-    /// PIT/CS/DNL shard count for every forwarder the overlay stands up
-    /// (the access router and each member cluster's two NFDs). 1 = the
-    /// single-shard tables and serial ingress; more shards enable the
-    /// two-phase (and, for large bursts, multi-threaded) ingress — see
-    /// [`lidc_ndn::forwarder::ForwarderConfig::shards`].
-    pub forwarder_shards: usize,
 }
 
 impl Default for OverlayConfig {
@@ -124,7 +118,6 @@ impl Default for OverlayConfig {
             load_datasets: true,
             router_cs_capacity: 4096,
             router_cs_budget_bytes: lidc_ndn::tables::cs::default_budget_bytes(4096),
-            forwarder_shards: 1,
         }
     }
 }
@@ -156,7 +149,6 @@ impl Overlay {
             Forwarder::new("wan-router", ForwarderConfig {
                 cs_capacity: config.router_cs_capacity,
                 cs_budget_bytes: config.router_cs_budget_bytes,
-                shards: config.forwarder_shards.max(1),
                 ..Default::default()
             }),
         );
@@ -206,7 +198,6 @@ impl Overlay {
             result_cache_budget_bytes: spec.cache_budget_bytes,
             ack_freshness: spec.ack_freshness,
             load_datasets: self.config.load_datasets,
-            forwarder_shards: self.config.forwarder_shards.max(1),
             ..Default::default()
         };
         let cluster = LidcCluster::deploy(sim, &self.alloc, cluster_config);

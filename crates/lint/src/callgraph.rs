@@ -375,8 +375,8 @@ fn resolve_path(ws: &Workspace, f: &FnDef, toks: &[Tok], i: usize, name: String)
         j -= 3;
     }
     segs.reverse();
-    // Expand a leading `use` alias (`shard::ShardedPit::insert` where
-    // `shard` was imported) into its full path for module matching.
+    // Expand a leading `use` alias (`pit::Pit::insert` where
+    // `pit` was imported) into its full path for module matching.
     if let Some(first) = segs.first() {
         if let Some(full) = ws.files[f.file].aliases.get(first) {
             let mut expanded = full.clone();

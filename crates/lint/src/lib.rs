@@ -2,13 +2,13 @@
 //!
 //! The LIDC workspace's central claim is a determinism contract:
 //! bit-identical schedules, metrics, and chaos fingerprints for a fixed
-//! seed at any thread count and shard width. That contract is enforced by
-//! convention (BTreeMap by default, per-actor `DetRng` streams, seeded
-//! `FaultSchedule::generate`) — and conventions erode. This crate is the
-//! tool that makes the convention checkable on every commit: a hand-rolled
-//! lexer plus lightweight token-pattern rule passes (no rustc plumbing, no
-//! vendored dependencies) that flag the ways nondeterminism has actually
-//! tried to enter this codebase:
+//! seed. That contract is enforced by convention (BTreeMap by default,
+//! per-actor `DetRng` streams, seeded `FaultSchedule::generate`) — and
+//! conventions erode. This crate is the tool that makes the convention
+//! checkable on every commit: a hand-rolled lexer plus lightweight
+//! token-pattern rule passes (no rustc plumbing, no vendored dependencies)
+//! that flag the ways nondeterminism has actually tried to enter this
+//! codebase:
 //!
 //! * [`rules::WALL_CLOCK`] — `Instant::now` / `SystemTime` outside
 //!   `crates/bench` and test code;

@@ -613,7 +613,7 @@ fn bump_depth_at(toks: &[Tok], i: usize, depth: &mut i32) {
 
 /// Base type ident of a type token window: skips references, `mut`,
 /// `dyn`/`impl`, lifetimes; resolves the path's **last** segment before any
-/// generic arguments (`tables::shard::ShardedPit<K>` → `ShardedPit`,
+/// generic arguments (`tables::pit::Pit<K>` → `Pit`,
 /// `&mut Ctx<'_>` → `Ctx`, `Arc<RwLock<T>>` → `Arc`).
 pub fn base_ty_of(toks: &[Tok], win: &[usize]) -> Option<String> {
     let mut last: Option<String> = None;
@@ -756,7 +756,7 @@ mod tests {
         let cases = [
             ("Ctx<'_>", Some("Ctx")),
             ("&mut Ctx<'_>", Some("Ctx")),
-            ("tables::shard::ShardedPit<K>", Some("ShardedPit")),
+            ("tables::pit::Pit<K>", Some("Pit")),
             ("Arc<RwLock<T>>", Some("Arc")),
             ("u64", Some("u64")),
         ];

@@ -21,52 +21,20 @@
 //! PIT/CS scratch buffers across the whole burst, and flushes staged
 //! transmissions once per burst. This is what keeps the 4096-node scaling
 //! runs out of scheduler churn.
-//!
-//! # Sharded, two-phase parallel ingress
-//!
-//! With [`ForwarderConfig::shards`] `> 1` the PIT, CS, and dead-nonce list
-//! become name-hash shards ([`crate::tables::shard`]), and a batched burst
-//! of packets is processed in two phases:
-//!
-//! 1. **Shard phase** (parallel across shards for large bursts): each
-//!    packet's *table work* — hop-limit, dead-nonce probe, CS lookup/insert,
-//!    PIT insert/match/take, FIB longest-prefix match (read-only) — runs
-//!    against its name's shard, in arrival order within the shard, emitting
-//!    a per-packet outcome. Every operation on one name lands in one shard,
-//!    so same-name sequences keep their serial semantics.
-//! 2. **Merge phase** (serial, global arrival order): outcomes are replayed
-//!    in burst order to do everything order-sensitive — strategy selection
-//!    (shared per-prefix state + RNG draws), PIT out-record registration,
-//!    link staging (`busy_until` FIFO, loss draws), face counters, and
-//!    metrics — so the schedule and all counters are identical to serial
-//!    processing of the same sharded configuration.
-//!
-//! A burst falls back to the serial per-packet path when it contains Nacks
-//! or `CanBePrefix` Interests, or Data while prefix PIT entries are
-//! resident (those are the only cases where one packet's table work can
-//! cross shards). Known reordering relative to fully serial processing:
-//! when an Interest and a Data *for the same name* share one burst, the
-//! Interest's out-record is registered after the Data's PIT take instead of
-//! before (observable only through dead-nonce retirement of the
-//! just-forwarded nonce and a zero-RTT strategy feedback); and capacity /
-//! byte budgets are split per shard, so under pressure eviction victims
-//! can differ from a single global LRU. With `shards = 1` (the default
-//! everywhere) the legacy path runs unchanged.
 
 use std::collections::VecDeque;
 
 use lidc_simcore::engine::{Actor, Ctx, Msg};
-use lidc_simcore::time::{SimDuration, SimTime};
+use lidc_simcore::time::SimTime;
 
 use crate::face::{Face, FaceId, FaceKind};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::name::Name;
 use crate::packet::{Data, Interest, Nack, NackReason, Packet};
 use crate::strategy::{BestRoute, Strategy, StrategyCtx};
-use crate::tables::cs::CsConfig;
+use crate::tables::cs::{ContentStore, CsConfig};
 use crate::tables::fib::{Fib, NextHop};
 use crate::tables::pit::{InsertOutcome, Pit, PitKey};
-use crate::tables::shard::{shard_of, ShardedCs, ShardedPit};
 
 /// A packet arriving at the forwarder on a face. Sent by peer forwarders
 /// *and* by local applications injecting packets through their app face.
@@ -214,12 +182,6 @@ pub struct ForwarderConfig {
     pub cs_budget_bytes: u64,
     /// Dead nonce list capacity.
     pub dnl_capacity: usize,
-    /// Name-hash shard count for the PIT/CS/dead-nonce tables (1 = the
-    /// single-shard tables and the legacy serial ingress). With more
-    /// shards, batched bursts take the two-phase ingress (see the module
-    /// docs) and large bursts probe the shards on parallel threads.
-    /// Capacity and byte budgets are split across shards.
-    pub shards: usize,
     /// Delivery latency to application faces. Real NFD apps sit behind a
     /// unix/TCP socket (the paper's NodePort exposure), so the hop is small
     /// but never zero; a nonzero default also keeps request/response
@@ -251,7 +213,6 @@ impl Default for ForwarderConfig {
             cs_capacity: 4096,
             cs_budget_bytes: crate::tables::cs::default_budget_bytes(4096),
             dnl_capacity: 8192,
-            shards: 1,
             app_face_latency: lidc_simcore::time::SimDuration::from_micros(50),
             verify_data: true,
             corruption: CorruptionMode::BitFlip,
@@ -272,12 +233,6 @@ impl ForwarderConfig {
             cs_budget_bytes: crate::tables::cs::default_budget_bytes(capacity),
             ..Default::default()
         }
-    }
-
-    /// Builder: set the PIT/CS/DNL shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 }
 
@@ -337,224 +292,15 @@ struct TxBucket {
     txs: Vec<(lidc_simcore::time::SimTime, Packet)>,
 }
 
-/// One PIT entry satisfied by a Data packet in the shard phase: where to
-/// return the Data, plus the strategy feedback the merge phase replays.
-#[derive(Debug)]
-struct Satisfaction {
-    /// Downstream faces to return the Data to. (Named `downstreams`, not
-    /// `faces`, so the field can't be confused with the forwarder's
-    /// `faces` *map* — this Vec is already in deterministic PIT-record
-    /// order.)
-    downstreams: Vec<FaceId>,
-    /// `(entry name, FIB prefix, upstream face, rtt)` when the Data arrived
-    /// on a face the entry had an out-record for.
-    feedback: Option<(Name, Name, FaceId, SimDuration)>,
-}
-
-/// The per-packet result of the shard phase, replayed by the merge phase in
-/// global arrival order (see the module docs for the split).
-///
-/// Variant sizes intentionally differ: the big variants carry the packet
-/// by value precisely to avoid a per-packet box on the hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum PhasedOutcome {
-    /// Interest arrived with hop limit 0.
-    HopLimitDrop,
-    /// Dead-nonce list hit (probed before the CS, so no cs_miss).
-    DnlDup { in_face: FaceId, interest: Interest },
-    /// Content Store hit: return the Data downstream.
-    CsHit { in_face: FaceId, data: Data },
-    /// PIT flagged an exact duplicate (CS missed first).
-    PitDup { in_face: FaceId, interest: Interest },
-    /// Aggregated into an existing entry; refresh the expiry timer.
-    Aggregated {
-        key: PitKey,
-        version: u64,
-        ttl: Option<SimDuration>,
-    },
-    /// New entry or retransmission: the merge phase runs FIB + strategy
-    /// selection and forwards.
-    Forward {
-        in_face: FaceId,
-        interest: Interest,
-        key: PitKey,
-        version: u64,
-        retransmission: bool,
-        ttl: Option<SimDuration>,
-    },
-    /// Data matched no PIT entry (not cached, mirroring the serial path).
-    Unsolicited,
-    /// Data failed signature verification: never cached, PIT untouched.
-    /// `poisoned` is true when PIT entries would have been satisfied (a
-    /// cache-poisoning attempt, not line noise on an idle path).
-    VerifyFailed {
-        in_face: FaceId,
-        name: Name,
-        poisoned: bool,
-    },
-    /// Data satisfied one or more exact PIT entries.
-    DataDeliver {
-        data: Data,
-        satisfied: Vec<Satisfaction>,
-    },
-}
-
-/// Shard-phase handling of one Interest against its shard's tables (see
-/// [`Forwarder::on_interest`] for the serial twin; the two must stay in
-/// lockstep). Reads the FIB/strategy-free subset only — everything
-/// order-sensitive is deferred to the merge phase via the outcome.
-fn shard_interest(
-    pit: &mut Pit,
-    cs: &mut crate::tables::cs::ContentStore,
-    dnl: &DeadNonceList,
-    now: SimTime,
-    in_face: FaceId,
-    mut interest: Interest,
-) -> PhasedOutcome {
-    if let Some(h) = interest.hop_limit {
-        if h == 0 {
-            return PhasedOutcome::HopLimitDrop;
-        }
-        interest.hop_limit = Some(h - 1);
-    }
-    if let Some(nonce) = interest.nonce {
-        if dnl.contains(&interest.name, nonce) {
-            return PhasedOutcome::DnlDup { in_face, interest };
-        }
-    }
-    if let Some(data) = cs.lookup(&interest, now) {
-        return PhasedOutcome::CsHit { in_face, data };
-    }
-    let key = PitKey::of(&interest);
-    let (outcome, version) = pit.insert(&interest, in_face, now);
-    let ttl = pit.time_to_expiry(&key, now);
-    match outcome {
-        InsertOutcome::DuplicateNonce => PhasedOutcome::PitDup { in_face, interest },
-        InsertOutcome::Aggregated => PhasedOutcome::Aggregated { key, version, ttl },
-        outcome @ (InsertOutcome::New | InsertOutcome::Retransmission) => PhasedOutcome::Forward {
-            in_face,
-            interest,
-            key,
-            version,
-            retransmission: outcome == InsertOutcome::Retransmission,
-            ttl,
-        },
-    }
-}
-
-/// Shard-phase handling of one Data packet (serial twin:
-/// [`Forwarder::on_data`]). Runs only when the PIT holds no `CanBePrefix`
-/// entries, so exact probes in this shard are the complete match and every
-/// satisfied entry's name (== the Data name) retires nonces into this
-/// shard's dead-nonce list.
-#[allow(clippy::too_many_arguments)] // one shard's disjoint &mut borrows
-fn shard_data(
-    pit: &mut Pit,
-    cs: &mut crate::tables::cs::ContentStore,
-    dnl: &mut DeadNonceList,
-    keys: &mut Vec<PitKey>,
-    fib: &Fib,
-    now: SimTime,
-    verify: bool,
-    data: Data,
-    in_face: FaceId,
-) -> PhasedOutcome {
-    keys.clear();
-    // Exact probes already emit in the deterministic match order (plain
-    // selector before MustBeFresh, same name).
-    pit.match_exact_append(&data.name, keys);
-    // Verify gate (serial twin: the same check in `Forwarder::on_data`).
-    // Verification is pure per-packet CPU work, so it belongs in the shard
-    // phase; the merge phase replays the metrics and quarantine strike.
-    if verify && !data.verify(None) {
-        let poisoned = !keys.is_empty();
-        keys.clear();
-        return PhasedOutcome::VerifyFailed { in_face, name: data.name, poisoned };
-    }
-    if keys.is_empty() {
-        return PhasedOutcome::Unsolicited;
-    }
-    cs.insert(data.clone(), now);
-    let mut satisfied = Vec::with_capacity(keys.len());
-    for key in keys.drain(..) {
-        let Some(entry) = pit.take(&key) else {
-            continue;
-        };
-        let feedback = entry.out_record(in_face).and_then(|out| {
-            let rtt = now.since(out.sent_at);
-            fib.lookup(&entry.interest.name)
-                .map(|fe| (entry.interest.name.clone(), fe.prefix.clone(), in_face, rtt))
-        });
-        for rec in &entry.in_records {
-            if let Some(n) = rec.nonce {
-                dnl.insert(entry.interest.name.clone(), n);
-            }
-        }
-        for rec in &entry.out_records {
-            if let Some(n) = rec.nonce {
-                dnl.insert(entry.interest.name.clone(), n);
-            }
-        }
-        satisfied.push(Satisfaction {
-            downstreams: entry.return_faces(in_face),
-            feedback,
-        });
-    }
-    PhasedOutcome::DataDeliver { data, satisfied }
-}
-
-/// Run one shard's slice of the burst (arrival order within the shard),
-/// filling `scratch.outcomes`. This is the function the parallel ingress
-/// fans out over scoped threads — it touches only its own shard's tables
-/// plus the read-only FIB.
-fn run_shard_phase(
-    pit: &mut Pit,
-    cs: &mut crate::tables::cs::ContentStore,
-    dnl: &mut DeadNonceList,
-    scratch: &mut ShardScratch,
-    fib: &Fib,
-    now: SimTime,
-    verify: bool,
-) {
-    let ShardScratch {
-        packets,
-        outcomes,
-        keys,
-    } = scratch;
-    outcomes.clear();
-    for (idx, face, packet) in packets.drain(..) {
-        let outcome = match packet {
-            Packet::Interest(i) => shard_interest(pit, cs, dnl, now, face, i),
-            Packet::Data(d) => shard_data(pit, cs, dnl, keys, fib, now, verify, d, face),
-            // lidc-lint: allow(panic-path) reason="phased runs pre-filter nacks onto the serial path, so shard batches hold only interests and data"
-            Packet::Nack(_) => unreachable!("nacks never enter the phased path"),
-        };
-        outcomes.push((idx, outcome));
-    }
-}
-
-/// Per-shard scratch for the two-phase ingress: the shard's packet slice of
-/// the current burst, its emitted outcomes, and a reused PIT-key buffer.
-/// Allocated once per shard; reused across bursts so steady-state parallel
-/// ingress performs no per-burst buffer allocation beyond outcome payloads.
-#[derive(Debug, Default)]
-struct ShardScratch {
-    packets: Vec<(u32, FaceId, Packet)>,
-    outcomes: Vec<(u32, PhasedOutcome)>,
-    keys: Vec<PitKey>,
-}
-
 /// The forwarder actor.
 pub struct Forwarder {
     label: String,
     config: ForwarderConfig,
     faces: FxHashMap<FaceId, Face>,
     fib: Fib,
-    pit: ShardedPit,
-    cs: ShardedCs,
-    /// Dead nonce lists, one per shard (same name-hash routing as PIT/CS).
-    dnl: Vec<DeadNonceList>,
+    pit: Pit,
+    cs: ContentStore,
+    dnl: DeadNonceList,
     /// Per-prefix strategies; longest-prefix-match choice with the root
     /// prefix always present (BestRoute by default).
     strategies: Vec<(Name, Box<dyn Strategy>)>,
@@ -567,10 +313,6 @@ pub struct Forwarder {
     /// Recycled bucket buffers (flushing empties a bucket but keeps its
     /// allocation for the next handler).
     tx_spare: Vec<Vec<(lidc_simcore::time::SimTime, Packet)>>,
-    /// Per-shard scratch for the two-phase ingress (empty when shards = 1).
-    shard_scratch: Vec<ShardScratch>,
-    /// Reused arrival-order packet buffer for the current burst run.
-    run_buf: Vec<(FaceId, Packet)>,
     /// Decaying per-face verification-failure strikes:
     /// `face → (strike count at last update, last update instant)`. Point
     /// lookups only — never iterated — so map order cannot leak into
@@ -578,48 +320,24 @@ pub struct Forwarder {
     quarantine: FxHashMap<FaceId, (f64, SimTime)>,
 }
 
-/// Bursts below this size run the shard phase serially: scoped-thread
-/// startup would cost more than the table work it parallelizes. Results
-/// are identical either way; only wall-clock differs.
-const PARALLEL_INGRESS_MIN: usize = 64;
-
-/// The host's usable core count, cached — the threaded-or-inline decision
-/// runs per large burst and must not pay a syscall each time.
-fn host_parallelism() -> usize {
-    use std::sync::OnceLock;
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
-}
-
 impl Forwarder {
     /// Create a forwarder with the given diagnostics label and config.
     pub fn new(label: impl Into<String>, config: ForwarderConfig) -> Self {
-        let shards = config.shards.max(1);
-        let dnl_caps = crate::tables::shard::split_capacity(config.dnl_capacity, shards);
         Forwarder {
             label: label.into(),
             faces: FxHashMap::default(),
             fib: Fib::new(),
-            pit: ShardedPit::new(shards),
-            cs: ShardedCs::with_config(
-                CsConfig {
-                    capacity: config.cs_capacity,
-                    budget_bytes: config.cs_budget_bytes,
-                    ..Default::default()
-                },
-                shards,
-            ),
-            dnl: dnl_caps.into_iter().map(DeadNonceList::new).collect(),
+            pit: Pit::new(),
+            cs: ContentStore::with_config(CsConfig {
+                capacity: config.cs_capacity,
+                budget_bytes: config.cs_budget_bytes,
+                ..Default::default()
+            }),
+            dnl: DeadNonceList::new(config.dnl_capacity),
             strategies: vec![(Name::root(), Box::new(BestRoute::new()))],
             pit_match_scratch: Vec::new(),
             tx_buckets: Vec::new(),
             tx_spare: Vec::new(),
-            shard_scratch: (0..shards).map(|_| ShardScratch::default()).collect(),
-            run_buf: Vec::new(),
             quarantine: FxHashMap::default(),
             config,
         }
@@ -666,9 +384,8 @@ impl Forwarder {
         }
     }
 
-    /// The (sharded) Content Store (tests/diagnostics). One shard with the
-    /// default config.
-    pub fn cs(&self) -> &ShardedCs {
+    /// The Content Store (tests/diagnostics).
+    pub fn cs(&self) -> &ContentStore {
         &self.cs
     }
 
@@ -677,27 +394,13 @@ impl Forwarder {
         &self.fib
     }
 
-    /// The (sharded) PIT (tests/diagnostics). One shard with the default
-    /// config.
-    pub fn pit(&self) -> &ShardedPit {
+    /// The PIT (tests/diagnostics).
+    pub fn pit(&self) -> &Pit {
         &self.pit
     }
 
-    /// Probe a dead-nonce entry through the name's shard.
-    fn dnl_contains(&self, name: &Name, nonce: u32) -> bool {
-        self.dnl[shard_of(name, self.dnl.len())].contains(name, nonce)
-    }
-
-    /// Retire a nonce into the name's shard.
-    fn dnl_insert(&mut self, name: Name, nonce: u32) {
-        let s = shard_of(&name, self.dnl.len());
-        // lidc-lint: allow(panic-path) reason="shard_of reduces modulo self.dnl.len(), which every constructor pins at one or more shards"
-        self.dnl[s].insert(name, nonce);
-    }
-
-    /// Strike count for `face` decayed to `now` (pure function of the
-    /// stored `(count, last_update)` pair — deterministic at any thread
-    /// count).
+    /// Strike count for `face` decayed to `now` (a pure function of the
+    /// stored `(count, last_update)` pair).
     fn decayed_strikes(&self, face: FaceId, now: SimTime) -> f64 {
         let Some((count, at)) = self.quarantine.get(&face) else {
             return 0.0;
@@ -720,10 +423,10 @@ impl Forwarder {
         ctx.metrics().incr("ndn.quarantine_strikes", 1);
     }
 
-    /// Shared handling of a Data that failed signature verification
-    /// (serial path and phased merge replay): count it, and when it was a
-    /// poisoning attempt (PIT entries would have been satisfied), strike
-    /// the ingress face and tell the strategy so forwarding steers away.
+    /// Handling of a Data that failed signature verification: count it, and
+    /// when it was a poisoning attempt (PIT entries would have been
+    /// satisfied), strike the ingress face and tell the strategy so
+    /// forwarding steers away.
     /// The PIT is deliberately left untouched — downstream retransmissions
     /// and alternate upstreams still have a live entry to satisfy.
     fn on_verify_failed(
@@ -937,7 +640,7 @@ impl Forwarder {
         }
         // Dead-nonce loop suppression.
         if let Some(nonce) = interest.nonce {
-            if self.dnl_contains(&interest.name, nonce) {
+            if self.dnl.contains(&interest.name, nonce) {
                 ctx.metrics().incr("ndn.duplicate_nonce", 1);
                 self.nack_to(in_face, NackReason::Duplicate, interest, ctx);
                 return;
@@ -1065,7 +768,7 @@ impl Forwarder {
         self.pit.match_data_into(&data.name, &mut keys);
         // Verify gate, *before* CS admission and PIT satisfaction: an
         // unverifiable Data is never cached and never consumes the PIT
-        // entries it targeted (phased twin: `shard_data`'s VerifyFailed).
+        // entries it targeted.
         if self.config.verify_data && !data.verify(None) {
             let poisoned = !keys.is_empty();
             keys.clear();
@@ -1117,12 +820,12 @@ impl Forwarder {
             // Retire nonces.
             for rec in &entry.in_records {
                 if let Some(n) = rec.nonce {
-                    self.dnl_insert(entry.interest.name.clone(), n);
+                    self.dnl.insert(entry.interest.name.clone(), n);
                 }
             }
             for rec in &entry.out_records {
                 if let Some(n) = rec.nonce {
-                    self.dnl_insert(entry.interest.name.clone(), n);
+                    self.dnl.insert(entry.interest.name.clone(), n);
                 }
             }
             for face in entry.return_faces(in_face) {
@@ -1173,15 +876,13 @@ impl Forwarder {
         // sequence — and thus RNG draws and packet order — is deterministic
         // regardless of hash-map iteration order).
         let mut affected: Vec<PitKey> = Vec::new();
-        for shard in self.pit.shards() {
-            for key in shard.keys() {
-                let touches = shard.get(key).is_some_and(|e| {
-                    e.in_records.iter().any(|r| r.face == dead)
-                        || e.out_records.iter().any(|r| r.face == dead)
-                });
-                if touches {
-                    affected.push(key.clone());
-                }
+        for key in self.pit.keys() {
+            let touches = self.pit.get(key).is_some_and(|e| {
+                e.in_records.iter().any(|r| r.face == dead)
+                    || e.out_records.iter().any(|r| r.face == dead)
+            });
+            if touches {
+                affected.push(key.clone());
             }
         }
         affected.sort_by(|a, b| {
@@ -1404,319 +1105,19 @@ impl Forwarder {
     }
 }
 
-impl Forwarder {
-    /// Whether the buffered packet run may take the two-phase path: no
-    /// Nacks, no `CanBePrefix` Interests, and no Data while prefix PIT
-    /// entries are resident (the only cases where one packet's table work
-    /// can cross shards — see the module docs).
-    fn run_is_phasable(&self, run: &[(FaceId, Packet)]) -> bool {
-        let mut has_data = false;
-        for (_, packet) in run {
-            match packet {
-                Packet::Interest(i) => {
-                    if i.can_be_prefix {
-                        return false;
-                    }
-                }
-                Packet::Data(_) => has_data = true,
-                Packet::Nack(_) => return false,
-            }
-        }
-        !has_data || self.pit.prefix_entry_count() == 0
-    }
-
-    /// Process and clear the buffered packet run (arrival order), choosing
-    /// between the serial per-packet path and the two-phase sharded path.
-    fn flush_run(&mut self, ctx: &mut Ctx<'_>) {
-        if self.run_buf.is_empty() {
-            return;
-        }
-        let mut run = std::mem::take(&mut self.run_buf);
-        if run.len() < 2 || !self.run_is_phasable(&run) {
-            for (face, packet) in run.drain(..) {
-                self.on_packet(face, packet, ctx);
-            }
-        } else {
-            self.process_run_phased(&mut run, ctx);
-        }
-        run.clear();
-        // Reclaim the buffer unless a nested path repopulated it.
-        if self.run_buf.is_empty() {
-            self.run_buf = run;
-        }
-    }
-
-    /// Two-phase ingress of one packet run (see the module docs): partition
-    /// by name shard, run per-shard table work (threaded for large bursts),
-    /// then replay the outcomes serially in global arrival order.
-    fn process_run_phased(&mut self, run: &mut Vec<(FaceId, Packet)>, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        let shards = self.shard_scratch.len();
-        let total = run.len();
-        // CS budget/admission deltas for the whole run (the serial path
-        // attributes them per insert; run totals are identical).
-        let (ev0, evb0, rej0) = (
-            self.cs.evictions(),
-            self.cs.evicted_bytes(),
-            self.cs.admission_rejections(),
-        );
-        // Partition: ingress checks and face counters in arrival order.
-        for (idx, (face_id, packet)) in run.drain(..).enumerate() {
-            match self.faces.get_mut(&face_id) {
-                None => {
-                    ctx.metrics().incr("ndn.rx_no_such_face", 1);
-                    continue;
-                }
-                Some(face) if !face.up => {
-                    ctx.metrics().incr("ndn.rx_face_down", 1);
-                    continue;
-                }
-                Some(face) => match &packet {
-                    Packet::Interest(_) => {
-                        face.counters.in_interests += 1;
-                        ctx.metrics().incr("ndn.rx_interests", 1);
-                    }
-                    Packet::Data(_) => {
-                        face.counters.in_data += 1;
-                        ctx.metrics().incr("ndn.rx_data", 1);
-                    }
-                    // lidc-lint: allow(panic-path) reason="phasable runs are selected to exclude nacks before entering this path"
-                    Packet::Nack(_) => unreachable!("phasable runs exclude nacks"),
-                },
-            }
-            let s = shard_of(packet.name(), shards);
-            // lidc-lint: allow(panic-path) reason="shard_of reduces modulo shards, the length shard_scratch was sized to"
-            self.shard_scratch[s].packets.push((idx as u32, face_id, packet));
-        }
-        // Shard phase: threaded when the burst amortizes thread startup,
-        // serial otherwise — bit-identical results either way.
-        let active = self
-            .shard_scratch
-            .iter()
-            .filter(|s| !s.packets.is_empty())
-            .count();
-        let parallel = active > 1 && total >= PARALLEL_INGRESS_MIN;
-        if parallel {
-            ctx.metrics().incr("ndn.parallel.runs", 1);
-            ctx.metrics().incr("ndn.parallel.packets", total as u64);
-        }
-        // Spawn shard threads only when the host has cores to run them on;
-        // a single-CPU host processes the shards inline (same phases, same
-        // order within each shard, bit-identical results).
-        let threaded = parallel && host_parallelism() > 1;
-        {
-            let fib = &self.fib;
-            let verify = self.config.verify_data;
-            let work = self
-                .pit
-                .shards_mut()
-                .iter_mut()
-                .zip(self.cs.shards_mut().iter_mut())
-                .zip(self.dnl.iter_mut())
-                .zip(self.shard_scratch.iter_mut())
-                .filter(|(_, scratch)| !scratch.packets.is_empty());
-            if threaded {
-                std::thread::scope(|scope| {
-                    for (((pit, cs), dnl), scratch) in work {
-                        scope.spawn(move || {
-                            run_shard_phase(pit, cs, dnl, scratch, fib, now, verify)
-                        });
-                    }
-                });
-            } else {
-                for (((pit, cs), dnl), scratch) in work {
-                    run_shard_phase(pit, cs, dnl, scratch, fib, now, verify);
-                }
-            }
-        }
-        // Merge phase: replay outcomes in global arrival order. Each
-        // shard's outcome list is already idx-sorted (shards process their
-        // packets in arrival order), so a k-way cursor merge visits global
-        // order without re-buffering the (large) outcome values.
-        type OutcomeCursor = (
-            std::vec::IntoIter<(u32, PhasedOutcome)>,
-            Option<(u32, PhasedOutcome)>,
-        );
-        let mut lists: Vec<OutcomeCursor> = Vec::with_capacity(self.shard_scratch.len());
-        for scratch in &mut self.shard_scratch {
-            let mut it = std::mem::take(&mut scratch.outcomes).into_iter();
-            let head = it.next();
-            if head.is_some() {
-                lists.push((it, head));
-            }
-        }
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, (_, head)) in lists.iter().enumerate() {
-                if let Some((idx, _)) = head {
-                    if best
-                        // lidc-lint: allow(panic-path) reason="best only holds indexes whose head was observed Some earlier in this loop"
-                        .map(|b| *idx < lists[b].1.as_ref().expect("head").0)
-                        .unwrap_or(true)
-                    {
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(i) = best else {
-                break;
-            };
-            // lidc-lint: allow(panic-path) reason="best was set only where lists[i] held a Some head, and nothing consumed it since"
-            let (_, outcome) = lists[i].1.take().expect("picked head");
-            // lidc-lint: allow(panic-path) reason="i was produced by the enumerate() over this same lists vec"
-            lists[i].1 = lists[i].0.next();
-            self.apply_outcome(outcome, ctx);
-        }
-        // Hand the drained buffers back to their shards for reuse.
-        for ((it, _), scratch) in lists.into_iter().zip(self.shard_scratch.iter_mut()) {
-            let mut buf = it.collect::<Vec<_>>();
-            buf.clear();
-            scratch.outcomes = buf;
-        }
-        // Surface the run's CS budget work (serial twin: on_data).
-        let evicted = self.cs.evictions() - ev0;
-        if evicted > 0 {
-            ctx.metrics().incr("ndn.cs_evict.count", evicted);
-            ctx.metrics()
-                .incr("ndn.cs_evict.bytes", self.cs.evicted_bytes() - evb0);
-        }
-        let rejected = self.cs.admission_rejections() - rej0;
-        if rejected > 0 {
-            ctx.metrics().incr("ndn.cs_admission_rejected", rejected);
-        }
-    }
-
-    /// Merge-phase replay of one packet's outcome: all the order-sensitive
-    /// work (strategy state + RNG, out-records, staging, counters), in the
-    /// exact order the serial handlers interleave it.
-    fn apply_outcome(&mut self, outcome: PhasedOutcome, ctx: &mut Ctx<'_>) {
-        match outcome {
-            PhasedOutcome::HopLimitDrop => ctx.metrics().incr("ndn.hop_limit_drops", 1),
-            PhasedOutcome::DnlDup { in_face, interest } => {
-                ctx.metrics().incr("ndn.duplicate_nonce", 1);
-                self.nack_to(in_face, NackReason::Duplicate, interest, ctx);
-            }
-            PhasedOutcome::CsHit { in_face, data } => {
-                ctx.metrics().incr("ndn.cs_hits", 1);
-                self.send_packet(in_face, Packet::Data(data), ctx);
-            }
-            PhasedOutcome::PitDup { in_face, interest } => {
-                ctx.metrics().incr("ndn.cs_misses", 1);
-                ctx.metrics().incr("ndn.duplicate_nonce", 1);
-                self.nack_to(in_face, NackReason::Duplicate, interest, ctx);
-            }
-            PhasedOutcome::Aggregated { key, version, ttl } => {
-                ctx.metrics().incr("ndn.cs_misses", 1);
-                ctx.metrics().incr("ndn.pit_aggregated", 1);
-                if let Some(ttl) = ttl {
-                    ctx.schedule_self(ttl, PitExpire { key, version });
-                }
-            }
-            PhasedOutcome::Forward {
-                in_face,
-                interest,
-                key,
-                version,
-                retransmission,
-                ttl,
-            } => {
-                ctx.metrics().incr("ndn.cs_misses", 1);
-                if let Some(ttl) = ttl {
-                    ctx.schedule_self(ttl, PitExpire {
-                        key: key.clone(),
-                        version,
-                    });
-                }
-                self.forward_interest(in_face, interest, key, retransmission, ctx);
-            }
-            PhasedOutcome::Unsolicited => ctx.metrics().incr("ndn.unsolicited_data", 1),
-            PhasedOutcome::VerifyFailed { in_face, name, poisoned } => {
-                self.on_verify_failed(in_face, &name, poisoned, ctx);
-            }
-            PhasedOutcome::DataDeliver { data, satisfied } => {
-                // Serial twin snapshots the byte peak after each CS insert
-                // (i.e. exactly once per delivered — not unsolicited —
-                // Data). Shard-phase inserts all landed already, so this
-                // reads the post-insert total; it can understate a serial
-                // mid-burst peak only when stale evictions shrink
-                // bytes_used within the same run (documented in the module
-                // docs' known-divergence list).
-                ctx.metrics()
-                    .set_max("ndn.cs_bytes_used_peak", self.cs.bytes_used());
-                for sat in satisfied {
-                    if let Some((name, prefix, face, rtt)) = sat.feedback {
-                        let sidx = self.strategy_index_for(&name);
-                        // lidc-lint: allow(panic-path) reason="strategy_index_for scans self.strategies and falls back to 0, and the table always holds the default strategy at index 0"
-                        self.strategies[sidx].1.on_data(&prefix, face, rtt);
-                    }
-                    for face in sat.downstreams {
-                        self.send_packet(face, Packet::Data(data.clone()), ctx);
-                    }
-                    ctx.metrics().incr("ndn.pit_satisfied", 1);
-                }
-            }
-        }
-    }
-
-    /// Route a packet-bearing message into the run buffer; `Err` gives the
-    /// message back for control handling.
-    fn buffer_packets(&mut self, msg: Msg) -> Result<(), Msg> {
-        let msg = match msg.downcast::<Rx>() {
-            Ok(rx) => {
-                let rx = *rx;
-                self.run_buf.push((rx.face, rx.packet));
-                return Ok(());
-            }
-            Err(m) => m,
-        };
-        match msg.downcast::<RxBatch>() {
-            Ok(batch) => {
-                let batch = *batch;
-                let face = batch.face;
-                for packet in batch.packets {
-                    self.run_buf.push((face, packet));
-                }
-                Ok(())
-            }
-            Err(m) => Err(m),
-        }
-    }
-}
-
 impl Actor for Forwarder {
     fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        if self.config.shards > 1 {
-            match self.buffer_packets(msg) {
-                Ok(()) => self.flush_run(ctx),
-                Err(msg) => self.handle(msg, ctx),
-            }
-        } else {
-            self.handle(msg, ctx);
-        }
+        self.handle(msg, ctx);
         self.flush_tx(ctx);
     }
 
     /// Batched ingress: a same-instant burst of messages is processed in
     /// arrival order with the PIT/CS scratch buffers warm, and all staged
     /// link transmissions leave in one flush (one scheduler event per link
-    /// and arrival instant). With `shards > 1`, consecutive packet
-    /// messages form runs that take the two-phase (and, for large bursts,
-    /// parallel) ingress; control messages are handled serially between
-    /// runs, preserving arrival order.
+    /// and arrival instant).
     fn on_batch(&mut self, msgs: &mut Vec<Msg>, ctx: &mut Ctx<'_>) {
-        if self.config.shards > 1 {
-            debug_assert!(self.run_buf.is_empty());
-            for msg in msgs.drain(..) {
-                if let Err(msg) = self.buffer_packets(msg) {
-                    self.flush_run(ctx);
-                    self.handle(msg, ctx);
-                }
-            }
-            self.flush_run(ctx);
-        } else {
-            for msg in msgs.drain(..) {
-                self.handle(msg, ctx);
-            }
+        for msg in msgs.drain(..) {
+            self.handle(msg, ctx);
         }
         self.flush_tx(ctx);
     }

@@ -170,7 +170,7 @@ impl Interest {
                     nonce = Some(u32::from_be_bytes([value[0], value[1], value[2], value[3]]));
                 }
                 types::INTEREST_LIFETIME => {
-                    lifetime = SimDuration::from_millis(parse_nonneg(value)?);
+                    lifetime = parse_millis(value)?;
                 }
                 types::HOP_LIMIT => {
                     if value.len() != 1 {
@@ -546,7 +546,7 @@ impl Data {
                         data.content_type = ContentType::from_code(parse_nonneg(value)?);
                     }
                     types::FRESHNESS_PERIOD => {
-                        data.freshness = Some(SimDuration::from_millis(parse_nonneg(value)?));
+                        data.freshness = Some(parse_millis(value)?);
                     }
                     types::FINAL_BLOCK_ID => {
                         let mut c = TlvReader::new(value);
@@ -696,6 +696,15 @@ pub fn encode_name_body(name: &Name) -> Bytes {
     body.freeze()
 }
 
+/// Decode a millisecond NonNegativeInteger, rejecting values past the range
+/// of [`SimDuration`] instead of overflowing.
+fn parse_millis(value: &[u8]) -> Result<SimDuration, TlvError> {
+    parse_nonneg(value)?
+        .checked_mul(SimDuration::from_millis(1).as_nanos())
+        .map(SimDuration::from_nanos)
+        .ok_or(TlvError::Malformed("duration out of range"))
+}
+
 #[inline(always)]
 fn decode_component_from(wire: &Bytes, r: &mut TlvReader<'_>) -> Result<NameComponent, TlvError> {
     let (typ, value) = r.read_tlv()?;
@@ -720,6 +729,18 @@ pub fn decode_name(body: &Bytes) -> Result<Name, TlvError> {
 mod tests {
     use super::*;
     use crate::tlv::encode_tlv;
+
+    #[test]
+    fn out_of_range_durations_are_malformed() {
+        // u64::MAX milliseconds overflows SimDuration's nanosecond count.
+        let name = encode_tlv(types::NAME, &encode_tlv(0x08, b"a"));
+        let huge = encode_tlv(types::INTEREST_LIFETIME, &[0xFF; 8]);
+        let interest = encode_tlv(types::INTEREST, &[&name[..], &huge[..]].concat());
+        assert!(Interest::decode(&interest).is_err());
+        let meta = encode_tlv(types::META_INFO, &encode_tlv(types::FRESHNESS_PERIOD, &[0xFF; 8]));
+        let data = encode_tlv(types::DATA, &[&name[..], &meta[..]].concat());
+        assert!(Data::decode(&data).is_err());
+    }
 
     #[test]
     fn interest_round_trip_minimal() {

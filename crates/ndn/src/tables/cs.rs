@@ -601,41 +601,6 @@ impl ContentStore {
         }
     }
 
-    /// Canonical-order walk of the records under `prefix`, yielding
-    /// `(name, slot, fresh_until, data)`. The sharded store's prefix lookup
-    /// k-way-merges these walks across shards so it visits records in
-    /// exactly the order a single-shard walk would (same winner, same
-    /// stale-eviction set).
-    pub(crate) fn scan_prefix<'a>(
-        &'a self,
-        prefix: &'a [NameComponent],
-    ) -> impl Iterator<Item = (&'a Name, usize, Option<SimTime>, &'a Data)> + 'a {
-        self.records
-            .range::<[NameComponent], _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(name, _)| {
-                prefix.len() <= name.len() && *prefix == name.components()[..prefix.len()]
-            })
-            .map(|(name, rec)| (name, rec.slot, rec.fresh_until, &rec.data))
-    }
-
-    /// Evict a record a MustBeFresh probe observed stale (sharded-lookup
-    /// hook; mirrors the inline stale eviction in [`ContentStore::lookup`]).
-    pub(crate) fn evict_stale(&mut self, slot: usize) {
-        self.evict_slot(slot);
-        self.stale_evictions += 1;
-    }
-
-    /// Account a hit landed through the sharded prefix walk.
-    pub(crate) fn record_hit(&mut self, slot: usize) {
-        self.mark_used(slot);
-        self.hits += 1;
-    }
-
-    /// Account a miss landed through the sharded prefix walk.
-    pub(crate) fn record_miss(&mut self) {
-        self.misses += 1;
-    }
-
     /// Drop every record (management/diagnostics).
     pub fn clear(&mut self) {
         self.records.clear();

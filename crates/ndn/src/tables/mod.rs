@@ -1,7 +1,5 @@
-//! Forwarder tables: FIB, PIT, and Content Store — plus the name-hash
-//! sharded variants one forwarder uses to exploit multiple cores.
+//! Forwarder tables: FIB, PIT, and Content Store.
 
 pub mod cs;
 pub mod fib;
 pub mod pit;
-pub mod shard;

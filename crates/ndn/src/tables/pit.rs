@@ -257,15 +257,6 @@ impl Pit {
     /// `Name` clone); only `CanBePrefix` entries are scanned.
     pub fn match_data_into(&self, data_name: &Name, out: &mut Vec<PitKey>) {
         out.clear();
-        self.match_exact_append(data_name, out);
-        self.match_prefix_append(data_name, out);
-        sort_match_keys(out);
-    }
-
-    /// Append the (up to two) exact-name entry keys matching `data_name`
-    /// without clearing or sorting `out` — the sharded PIT composes this
-    /// with prefix scans over every shard before one final sort.
-    pub fn match_exact_append(&self, data_name: &Name, out: &mut Vec<PitKey>) {
         // One probe key serves both selector variants (flip the bool
         // between probes) — a single O(1) Name clone for the common case.
         let mut probe = PitKey {
@@ -287,22 +278,12 @@ impl Pit {
         } else if hit_fresh {
             out.push(probe);
         }
-    }
-
-    /// Append every `CanBePrefix` entry key whose name prefixes `data_name`
-    /// (no clear, no sort — see [`Pit::match_exact_append`]).
-    pub fn match_prefix_append(&self, data_name: &Name, out: &mut Vec<PitKey>) {
         for key in &self.prefix_keys {
             if key.name.is_prefix_of(data_name) {
                 out.push(key.clone());
             }
         }
-    }
-
-    /// Number of resident `CanBePrefix` entries (the ones Data matching
-    /// must scan; the forwarder's parallel ingress gates on this being 0).
-    pub fn prefix_entry_count(&self) -> usize {
-        self.prefix_keys.len()
+        sort_match_keys(out);
     }
 
     /// Look up an entry.
@@ -408,7 +389,7 @@ impl Pit {
 
 /// The deterministic ordering of data-match results: by name, exact
 /// matches before prefix matches, plain before MustBeFresh.
-pub(crate) fn sort_match_keys(out: &mut [PitKey]) {
+fn sort_match_keys(out: &mut [PitKey]) {
     out.sort_by(|a, b| {
         a.name
             .cmp(&b.name)

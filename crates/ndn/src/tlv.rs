@@ -238,10 +238,13 @@ impl<'a> TlvReader<'a> {
     #[cold]
     fn read_tlv_slow(&mut self) -> Result<(u64, &'a [u8]), TlvError> {
         let typ = self.read_var_number()?;
-        let len = self.read_var_number()? as usize;
-        if self.pos + len > self.input.len() {
+        // Compare before converting: a hostile length near `u64::MAX` must
+        // neither truncate to `usize` nor overflow `pos + len`.
+        let len = self.read_var_number()?;
+        if len > self.remaining() as u64 {
             return Err(TlvError::LengthOverrun);
         }
+        let len = len as usize;
         let value = &self.input[self.pos..self.pos + len];
         self.pos += len;
         Ok((typ, value))
@@ -381,6 +384,20 @@ mod tests {
         put_var_number(&mut buf2, 70000); // 5-byte encoding
         let mut r2 = TlvReader::new(&buf2[..3]);
         assert_eq!(r2.read_var_number(), Err(TlvError::Truncated));
+    }
+
+    #[test]
+    fn huge_declared_length_is_an_overrun() {
+        // An 8-byte var-number length of u64::MAX behind a Data (0x06) or
+        // Interest (0x05) type byte.
+        for typ in [0x06u8, 0x05] {
+            let wire = [typ, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF];
+            let mut r = TlvReader::new(&wire);
+            assert_eq!(r.read_tlv(), Err(TlvError::LengthOverrun), "type {typ:#x}");
+            let bytes = Bytes::copy_from_slice(&wire);
+            assert!(crate::packet::Data::decode(&bytes).is_err(), "type {typ:#x}");
+            assert!(crate::packet::Interest::decode(&bytes).is_err(), "type {typ:#x}");
+        }
     }
 
     #[test]

@@ -210,69 +210,3 @@ fn interest_lifecycle_steady_state_allocations_are_bounded() {
     });
     assert_eq!(n, 0, "steady-state PIT probing must not allocate");
 }
-
-#[test]
-fn sharded_pit_probes_allocate_nothing() {
-    // The sharded configuration must keep the 0-alloc probe guarantee per
-    // shard: routing hashes a borrowed name view and the per-shard probes
-    // are the proven allocation-free single-shard ones.
-    use lidc_ndn::tables::shard::ShardedPit;
-    let mut pit = ShardedPit::new(4);
-    let now = SimTime::ZERO;
-    for i in 0..64 {
-        let interest =
-            Interest::new(Name::parse(&format!("/svc/job-{i}")).unwrap()).with_nonce(i);
-        pit.insert(&interest, FaceId::from_raw(1), now);
-    }
-    let hit = Name::parse("/svc/job-17").unwrap();
-    let miss = Name::parse("/elsewhere/x").unwrap();
-    let mut scratch: Vec<PitKey> = Vec::with_capacity(8);
-    let (n, matched) = allocs_during(|| {
-        let mut matched = 0usize;
-        for _ in 0..PROBES {
-            pit.match_data_into(&hit, &mut scratch);
-            matched += scratch.len();
-            pit.match_data_into(&miss, &mut scratch);
-            matched += scratch.len();
-        }
-        matched
-    });
-    assert_eq!(matched, PROBES, "exact hit matched every round, miss never");
-    assert_eq!(n, 0, "sharded PIT data matching must not allocate");
-}
-
-#[test]
-fn sharded_cs_exact_probes_allocate_nothing() {
-    use lidc_ndn::tables::cs::CsConfig;
-    use lidc_ndn::tables::shard::ShardedCs;
-    // Byte-budgeted, segment-aware, 4-shard config: exact probes route by
-    // name hash and must stay allocation-free with the two-tier budget
-    // active in every shard.
-    let mut cs = ShardedCs::with_config(
-        CsConfig {
-            capacity: 128,
-            budget_bytes: 1 << 20,
-            bulk_threshold: 64,
-            protected_fraction: 0.25,
-        },
-        4,
-    );
-    let now = SimTime::ZERO;
-    for i in 0..64 {
-        let name = Name::parse(&format!("/data/obj-{i}/seg=0")).unwrap();
-        let size = if i % 2 == 0 { 32 } else { 128 };
-        cs.insert(Data::new(name, vec![7u8; size]).sign_digest(), now);
-    }
-    let exact = Interest::new(Name::parse("/data/obj-17/seg=0").unwrap());
-    let miss = Interest::new(Name::parse("/data/unknown").unwrap());
-    let (n, hits) = allocs_during(|| {
-        let mut hits = 0usize;
-        for _ in 0..PROBES {
-            hits += usize::from(cs.lookup(&exact, now).is_some());
-            hits += usize::from(cs.lookup(&miss, now).is_some());
-        }
-        hits
-    });
-    assert_eq!(hits, PROBES, "exact hit every round, miss never");
-    assert_eq!(n, 0, "sharded CS exact lookups must not allocate");
-}

@@ -9,6 +9,7 @@ use lidc_ndn::packet::{ContentType, Data, Interest};
 use lidc_ndn::tables::cs::ContentStore;
 use lidc_ndn::tables::fib::Fib;
 use lidc_ndn::tables::pit::{InsertOutcome, Pit};
+use lidc_ndn::tlv::TlvReader;
 use lidc_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -165,6 +166,63 @@ proptest! {
         prop_assert!(data.verify(Some(&key)));
         if other_key != key {
             prop_assert!(!data.verify(Some(&other_key)));
+        }
+    }
+}
+
+// --- decoding hostile input -------------------------------------------------
+
+/// Walk every TLV element of `input`, descending into element values a few
+/// levels deep, stopping at the first decode error.
+fn tlv_walk(input: &[u8], depth: u32) {
+    let mut r = TlvReader::new(input);
+    while !r.is_empty() {
+        match r.read_tlv() {
+            Ok((_, value)) if depth < 4 => tlv_walk(value, depth + 1),
+            Ok(_) => {}
+            Err(_) => break,
+        }
+    }
+}
+
+/// Feed `wire` to every decoder; each call must return (Ok or Err) rather
+/// than panic.
+fn decode_everything(wire: &[u8]) {
+    let bytes = Bytes::copy_from_slice(wire);
+    let _ = Interest::decode(&bytes);
+    let _ = Data::decode(&bytes);
+    tlv_walk(wire, 0);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Decoding never panics: not on arbitrary short byte strings, and not
+    /// on a valid Interest or Data encoding with one byte overwritten.
+    #[test]
+    fn decode_never_panics(
+        garbage in proptest::collection::vec(any::<u8>(), 0..=64),
+        name in arb_text_name(),
+        content in proptest::collection::vec(any::<u8>(), 0..16),
+        offset in any::<u32>(),
+        byte in any::<u8>(),
+    ) {
+        decode_everything(&garbage);
+        let mut interest = Interest::new(name.clone())
+            .can_be_prefix(true)
+            .must_be_fresh(true)
+            .with_nonce(7)
+            .with_app_params(Bytes::from(content.clone()));
+        interest.hop_limit = Some(9);
+        let data = Data::new(name, content)
+            .with_freshness(SimDuration::from_secs(10))
+            .with_final_block_id(NameComponent::segment(3))
+            .sign_hmac(Name::parse("/keys/k1").unwrap(), b"key");
+        for wire in [interest.encode(), data.encode()] {
+            let mut wire = wire.to_vec();
+            let at = offset as usize % wire.len();
+            wire[at] = byte;
+            decode_everything(&wire);
         }
     }
 }
@@ -578,173 +636,6 @@ proptest! {
     }
 }
 
-// --- sharded-table equivalence --------------------------------------------
-
-/// One operation of a mixed PIT/CS workload for the sharded-vs-single
-/// equivalence properties.
-#[derive(Debug, Clone)]
-enum TableOp {
-    /// PIT insert of `(name idx, face, nonce)`.
-    PitInsert(usize, u64, u32),
-    /// PIT data-match + take of every matched key.
-    PitSatisfy(usize),
-    /// CS insert of `(name idx, payload len, freshness secs)`.
-    CsInsert(usize, usize, u64),
-    /// CS lookup with `(name idx, can_be_prefix, must_be_fresh)`.
-    CsLookup(usize, bool, bool),
-}
-
-prop_compose! {
-    fn arb_pit_insert()(n in 0usize..24, f in 0u64..4, x in 1u32..1000) -> TableOp {
-        TableOp::PitInsert(n, f, x)
-    }
-}
-prop_compose! {
-    fn arb_pit_satisfy()(n in 0usize..24) -> TableOp {
-        TableOp::PitSatisfy(n)
-    }
-}
-prop_compose! {
-    fn arb_cs_insert()(n in 0usize..24, l in 0usize..64, f in 0u64..30) -> TableOp {
-        TableOp::CsInsert(n, l, f)
-    }
-}
-prop_compose! {
-    fn arb_cs_lookup()(n in 0usize..24, p in any::<bool>(), f in any::<bool>()) -> TableOp {
-        TableOp::CsLookup(n, p, f)
-    }
-}
-
-fn arb_table_op() -> impl Strategy<Value = TableOp> {
-    prop_oneof![
-        arb_pit_insert(),
-        arb_pit_satisfy(),
-        arb_cs_insert(),
-        arb_cs_lookup(),
-    ]
-}
-
-/// A small hierarchical name universe so prefix lookups genuinely cross
-/// shard boundaries (parents and children hash to different shards).
-fn op_name(idx: usize) -> Name {
-    let a = idx % 4;
-    let b = (idx / 4) % 3;
-    let c = idx / 12;
-    let mut name = Name::root().child_str(&format!("svc{a}"));
-    if b > 0 {
-        name = name.child_str(&format!("obj{b}"));
-    }
-    if c > 0 {
-        name = name.child_str(&format!("seg{c}"));
-    }
-    name
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// For arbitrary op sequences (no capacity/byte pressure — sharding
-    /// deliberately localizes eviction), the 4-way name-hash-sharded PIT
-    /// returns the same insert outcomes, the same data-match key lists (in
-    /// the same deterministic order), and the same end state as the
-    /// single-shard PIT.
-    #[test]
-    fn sharded_pit_probe_results_equal_single_shard(
-        ops in proptest::collection::vec(arb_table_op(), 1..120),
-    ) {
-        use lidc_ndn::tables::shard::ShardedPit;
-        let now = SimTime::ZERO;
-        let mut single = Pit::new();
-        let mut sharded = ShardedPit::new(4);
-        let mut keys_single = Vec::new();
-        let mut keys_sharded = Vec::new();
-        for op in &ops {
-            match op {
-                TableOp::PitInsert(n, face, nonce) => {
-                    // Every third name is a CanBePrefix Interest so prefix
-                    // matching crosses shards.
-                    let interest = Interest::new(op_name(*n))
-                        .with_nonce(*nonce)
-                        .can_be_prefix(n % 3 == 0);
-                    let a = single.insert(&interest, FaceId::from_raw(*face), now);
-                    let b = sharded.insert(&interest, FaceId::from_raw(*face), now);
-                    prop_assert_eq!(a, b, "insert outcome diverged");
-                }
-                TableOp::PitSatisfy(n) => {
-                    let name = op_name(*n);
-                    single.match_data_into(&name, &mut keys_single);
-                    sharded.match_data_into(&name, &mut keys_sharded);
-                    prop_assert_eq!(&keys_single, &keys_sharded, "match keys diverged");
-                    for key in keys_single.iter() {
-                        let a = single.take(key).map(|e| (e.in_records, e.out_records));
-                        let b = sharded.take(key).map(|e| (e.in_records, e.out_records));
-                        prop_assert_eq!(a, b, "taken entries diverged");
-                    }
-                }
-                _ => {}
-            }
-            prop_assert_eq!(single.len(), sharded.len());
-            prop_assert_eq!(single.prefix_entry_count(), sharded.prefix_entry_count());
-        }
-    }
-
-    /// Same property for the Content Store: with capacity/budget high
-    /// enough that nothing evicts, the 4-way sharded store returns the
-    /// same lookup results (exact and CanBePrefix, fresh and stale probes,
-    /// including which record a prefix walk settles on and which stale
-    /// records it evicts) and the same hit/miss/eviction totals as one
-    /// store.
-    #[test]
-    fn sharded_cs_probe_results_equal_single_shard(
-        ops in proptest::collection::vec(arb_table_op(), 1..120),
-        probe_secs in 0u64..40,
-    ) {
-        use lidc_ndn::tables::cs::CsConfig;
-        use lidc_ndn::tables::shard::ShardedCs;
-        let config = CsConfig::count_only(1 << 16);
-        let mut single = ContentStore::with_config(config.clone());
-        let mut sharded = ShardedCs::with_config(config, 4);
-        let mut now = SimTime::ZERO;
-        for op in &ops {
-            match op {
-                TableOp::CsInsert(n, len, fresh) => {
-                    let mut data = Data::new(op_name(*n), vec![7u8; *len]).sign_digest();
-                    if *fresh > 0 {
-                        data = data.with_freshness(SimDuration::from_secs(*fresh));
-                    }
-                    single.insert(data.clone(), now);
-                    sharded.insert(data, now);
-                }
-                TableOp::CsLookup(n, prefix, fresh) => {
-                    let interest = Interest::new(op_name(*n))
-                        .can_be_prefix(*prefix)
-                        .must_be_fresh(*fresh);
-                    let a = single.lookup(&interest, now);
-                    let b = sharded.lookup(&interest, now);
-                    prop_assert_eq!(
-                        a.as_ref().map(|d| (&d.name, &d.content)),
-                        b.as_ref().map(|d| (&d.name, &d.content)),
-                        "lookup result diverged"
-                    );
-                    // Advance time a little so freshness windows lapse at
-                    // varied points of the sequence.
-                    now += SimDuration::from_secs(probe_secs / 8);
-                }
-                _ => {}
-            }
-            prop_assert_eq!(single.len(), sharded.len(), "resident sets diverged");
-            prop_assert_eq!(single.bytes_used(), sharded.bytes_used());
-            prop_assert_eq!(single.hits(), sharded.hits());
-            prop_assert_eq!(single.misses(), sharded.misses());
-            prop_assert_eq!(single.stale_evictions(), sharded.stale_evictions());
-            prop_assert_eq!(single.evictions(), sharded.evictions());
-        }
-        // End state: identical resident names in canonical order.
-        let names_single: Vec<Name> = single.names().cloned().collect();
-        prop_assert_eq!(names_single, sharded.names());
-    }
-}
-
 // --- end-to-end integrity: signing, bit flips, cache admission --------------
 
 proptest! {
@@ -924,11 +815,9 @@ proptest! {
             .count();
         let fwd = sim.actor::<Forwarder>(fwd).unwrap();
         let mut cached = 0usize;
-        for shard in fwd.cs().shards() {
-            for (name, data) in shard.entries() {
-                prop_assert!(data.verify(None), "unverifiable Data cached: {name}");
-                cached += 1;
-            }
+        for (name, data) in fwd.cs().entries() {
+            prop_assert!(data.verify(None), "unverifiable Data cached: {name}");
+            cached += 1;
         }
         prop_assert_eq!(cached, signed, "exactly the honest replies were cached");
         prop_assert_eq!(

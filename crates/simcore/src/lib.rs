@@ -21,7 +21,7 @@
 //! in canonical-key order, and [`engine::Ctx::rng`] draws from a stream
 //! derived per actor from the master seed (see [`engine`]'s module docs).
 //! Real parallelism is used only where real computation happens (the
-//! genomics aligner kernel, the forwarder's sharded burst ingress).
+//! genomics aligner kernel).
 //!
 //! ## Example
 //!

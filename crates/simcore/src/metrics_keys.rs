@@ -122,10 +122,6 @@ pub const NDN_UNKNOWN_MESSAGE: &str = "ndn.unknown_message";
 pub const NDN_BATCH_LINK_FLUSHES: &str = "ndn.batch.link_flushes";
 /// Packets carried by link-level batches.
 pub const NDN_BATCH_LINK_PACKETS: &str = "ndn.batch.link_packets";
-/// Sharded-ingress parallel runs taken by a forwarder.
-pub const NDN_PARALLEL_RUNS: &str = "ndn.parallel.runs";
-/// Packets processed inside sharded-ingress parallel runs.
-pub const NDN_PARALLEL_PACKETS: &str = "ndn.parallel.packets";
 
 // ---------------------------------------------------------- compute plane --
 
@@ -230,8 +226,6 @@ pub const ALL: &[&str] = &[
     NDN_UNKNOWN_MESSAGE,
     NDN_BATCH_LINK_FLUSHES,
     NDN_BATCH_LINK_PACKETS,
-    NDN_PARALLEL_RUNS,
-    NDN_PARALLEL_PACKETS,
     GATEWAY_JOBS_CREATED,
     GATEWAY_CACHE_HITS,
     GATEWAY_RESULTS_PUBLISHED,

@@ -37,7 +37,7 @@ BENCH_JSON="$RAW" cargo bench --bench micro -- --noplot ${FILTER:+"$FILTER"}
 merge_status=0
 if [ -f "$OUT" ]; then
   python3 - "$RAW" "$OUT" "$MERGED" <<'PY' || merge_status=$?
-import json, os, sys
+import json, sys
 
 raw_path, out_path, merged_path = sys.argv[1], sys.argv[2], sys.argv[3]
 with open(out_path) as f:
@@ -52,18 +52,6 @@ for m in raw:
     if base and m["median_ns"] > 0 and m["min_ns"] > 0:
         doc.setdefault("speedup_median", {})[m["id"]] = round(base["median_ns"] / m["median_ns"], 2)
         doc.setdefault("speedup_min", {})[m["id"]] = round(base["min_ns"] / m["min_ns"], 2)
-# Record the parallel configuration behind the shard-suffixed bench ids
-# (burst/parallel_ingress/shards{N}) plus the cores the host actually
-# allowed — a 1-CPU container cannot show multi-core speedups, and the
-# trajectory must say so.
-try:
-    host_cpus = len(os.sched_getaffinity(0))
-except AttributeError:
-    host_cpus = os.cpu_count() or 1
-doc["parallel_config"] = {
-    "forwarder_shards": [1, 4],
-    "host_usable_cpus": host_cpus,
-}
 with open(merged_path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")

@@ -1,17 +1,14 @@
 //! Dispatch-mode equivalence: the same gateway-pipeline workload must
 //! produce identical replies, identical domain metrics, and identical
-//! CS/PIT end state across **three** execution modes:
+//! CS/PIT end state in both execution modes:
 //!
 //! 1. sequential — batching off, every message through `on_message`;
 //! 2. batched — engine `on_batch` coalescing + forwarder wire batching +
-//!    the gateway's amortized batch handlers (shards 1);
-//! 3. batched + sharded — 4-way name-hash-sharded forwarder tables with
-//!    the two-phase parallel burst ingress.
+//!    the gateway's amortized batch handlers.
 //!
-//! This is the safety net for the batching and sharding refactors: any
-//! ordering bug in burst coalescing, the per-link flush, shard routing or
-//! the phased ingress shows up as a divergence here, and the golden digest
-//! in `tests/golden/` pins the result itself.
+//! This is the safety net for the batching refactors: any ordering bug in
+//! burst coalescing or the per-link flush shows up as a divergence here,
+//! and the golden digest in `tests/golden/` pins the result itself.
 
 mod common;
 
@@ -52,21 +49,14 @@ impl Actor for Sink {
     }
 }
 
-/// One execution mode of the three-way comparison.
-#[derive(Debug, Clone, Copy)]
-struct Mode {
-    batching: bool,
-    shards: usize,
-}
-
 /// End-state fingerprint of one run.
 #[derive(Debug, PartialEq, Eq)]
 struct Fingerprint {
     /// Sorted replies (ordering within one instant is not part of the
     /// equivalence contract; the *set* of replies is).
     replies: Vec<(String, String, Vec<u8>)>,
-    /// Every metrics counter except the batching/parallel observability
-    /// counters, which exist only on the modes that use those paths.
+    /// Every metrics counter except the batching observability counters,
+    /// which exist only in the batched mode.
     counters: BTreeMap<String, u64>,
     /// (cached names, PIT size) per forwarder: two clients, gateway, lake.
     tables: Vec<(Vec<String>, usize)>,
@@ -74,8 +64,7 @@ struct Fingerprint {
     gateway_stats: String,
 }
 
-/// Interests per client forwarder. Over the forwarder's parallel-ingress
-/// threshold (64) so mode 3 genuinely takes the two-phase shard path.
+/// Interests per client forwarder in one same-instant burst.
 const BURST: u32 = 72;
 
 fn send_burst(sim: &mut Sim, fwd: ActorId, face: lidc_ndn::face::FaceId, tag_base: u32) {
@@ -111,9 +100,9 @@ fn send_burst(sim: &mut Sim, fwd: ActorId, face: lidc_ndn::face::FaceId, tag_bas
     );
 }
 
-fn run(mode: Mode) -> Fingerprint {
+fn run(batching: bool) -> Fingerprint {
     let mut sim = Sim::new(99);
-    sim.set_batching(mode.batching);
+    sim.set_batching(batching);
     let alloc = FaceIdAlloc::new();
     let cluster = LidcCluster::deploy(&mut sim, &alloc, LidcClusterConfig {
         nodes: 2,
@@ -121,16 +110,14 @@ fn run(mode: Mode) -> Fingerprint {
         // Result cache on: a compute whose key a same-instant neighbor
         // populated must hit (or miss) identically in every mode.
         result_cache_capacity: 8,
-        forwarder_shards: mode.shards,
         ..LidcClusterConfig::named("eq")
     });
     // Two client forwarders receiving same-instant bursts.
-    let fwd_config = ForwarderConfig::default().with_shards(mode.shards);
     let mut clients = Vec::new();
     for c in 0..2 {
         let client_fwd = sim.spawn(
             format!("client-fwd-{c}"),
-            Forwarder::new(format!("client-fwd-{c}"), fwd_config.clone()),
+            Forwarder::new(format!("client-fwd-{c}"), ForwarderConfig::default()),
         );
         let (to_gw, _) = connect(
             &mut sim,
@@ -192,7 +179,7 @@ fn run(mode: Mode) -> Fingerprint {
     let counters: BTreeMap<String, u64> = sim
         .metrics_ref()
         .counter_names()
-        .filter(|name| !name.contains("batch") && !name.contains("parallel"))
+        .filter(|name| !name.contains("batch"))
         .map(|name| (name.to_owned(), sim.metrics_ref().counter(name)))
         .collect();
     let tables = [
@@ -205,11 +192,7 @@ fn run(mode: Mode) -> Fingerprint {
     .map(|&fwd| {
         let f = sim.actor::<Forwarder>(fwd).unwrap();
         (
-            f.cs()
-                .names()
-                .into_iter()
-                .map(|n| n.to_uri())
-                .collect::<Vec<_>>(),
+            f.cs().names().map(|n| n.to_uri()).collect::<Vec<_>>(),
             f.pit().len(),
         )
     })
@@ -223,28 +206,20 @@ fn run(mode: Mode) -> Fingerprint {
 }
 
 #[test]
-fn sequential_batched_and_sharded_dispatch_agree() {
-    let sequential = run(Mode {
-        batching: false,
-        shards: 1,
-    });
+fn sequential_and_batched_dispatch_agree() {
+    let sequential = run(false);
     assert!(!sequential.replies.is_empty());
-    // Every mode below must equal `sequential`, so pinning its digest pins
-    // them all.
+    // The batched run must equal `sequential`, so pinning its digest pins
+    // both.
     assert_golden(
         "batch_equivalence_sha256",
         &to_hex(&sha256(format!("{sequential:?}").as_bytes())),
     );
-    for (label, mode) in [
-        ("batched", Mode { batching: true, shards: 1 }),
-        ("batched, shards=4", Mode { batching: true, shards: 4 }),
-    ] {
-        let other = run(mode);
-        assert_eq!(sequential.replies, other.replies, "reply sets diverge ({label})");
-        assert_eq!(sequential.counters, other.counters, "metrics diverge ({label})");
-        assert_eq!(sequential.tables, other.tables, "CS/PIT end-state diverges ({label})");
-        assert_eq!(sequential.gateway_stats, other.gateway_stats, "gateway stats ({label})");
-    }
+    let batched = run(true);
+    assert_eq!(sequential.replies, batched.replies, "reply sets diverge");
+    assert_eq!(sequential.counters, batched.counters, "metrics diverge");
+    assert_eq!(sequential.tables, batched.tables, "CS/PIT end-state diverges");
+    assert_eq!(sequential.gateway_stats, batched.gateway_stats, "gateway stats diverge");
 }
 
 #[test]
@@ -293,50 +268,4 @@ fn batched_path_actually_batched() {
     assert!(drained.max_batch >= 16, "gateway drained the burst in one call");
     // ContentType unused warning guard.
     let _ = ContentType::Blob;
-}
-
-#[test]
-fn parallel_paths_actually_exercised() {
-    // Guard for mode 3 of the equivalence test: with shards > 1 the run
-    // must register two-phase forwarder ingress runs, or the three-way
-    // comparison proves nothing.
-    let shards = 4;
-    let mut sim = Sim::new(99);
-    let alloc = FaceIdAlloc::new();
-    let cluster = LidcCluster::deploy(&mut sim, &alloc, LidcClusterConfig {
-        nodes: 2,
-        load_datasets: false,
-        forwarder_shards: shards,
-        ..LidcClusterConfig::named("eq3")
-    });
-    let fwd_config = ForwarderConfig::default().with_shards(shards);
-    let mut clients = Vec::new();
-    for c in 0..2 {
-        let client_fwd = sim.spawn(
-            format!("client-fwd-{c}"),
-            Forwarder::new(format!("client-fwd-{c}"), fwd_config.clone()),
-        );
-        let (to_gw, _) = connect(
-            &mut sim,
-            client_fwd,
-            cluster.gateway_fwd,
-            &alloc,
-            LinkProps::with_latency(SimDuration::from_millis(2)),
-        );
-        cluster.register_on(&mut sim, client_fwd, to_gw, 0);
-        let sink = sim.spawn(format!("sink-{c}"), Sink { replies: vec![] });
-        let sink_face = attach_app(&mut sim, client_fwd, sink, &alloc);
-        clients.push((client_fwd, sink, sink_face));
-    }
-    for (c, (client_fwd, _, sink_face)) in clients.iter().enumerate() {
-        send_burst(&mut sim, *client_fwd, *sink_face, (c as u32) * 10_000);
-    }
-    sim.run_until(sim.now() + SimDuration::from_millis(100));
-    assert!(
-        sim.metrics_ref().counter("ndn.parallel.runs") > 0,
-        "forwarders ran two-phase shard ingress"
-    );
-    for (_, sink, _) in &clients {
-        assert!(!sim.actor::<Sink>(*sink).unwrap().replies.is_empty());
-    }
 }

@@ -2,7 +2,7 @@
 //!
 //! Every scenario drives faults through [`FaultController`] — the seeded,
 //! deterministic fault layer — never by ad-hoc test pokes, so the same
-//! schedule replays bit-identically across runs and shard counts:
+//! schedule replays bit-identically across runs:
 //!
 //! 1. a WAN link cut strands an in-flight Interest → the forwarder
 //!    retransmits it over the alternate face (no timeout, no client retry);
@@ -12,9 +12,9 @@
 //!    client still sees the job complete;
 //! 4. LIDC vs the centralized baseline under the *same* fault schedule →
 //!    LIDC completes at least as many jobs;
-//! 5. the whole chaos run is deterministic: same seed + schedule with 1-
-//!    and 4-way sharded forwarders and on every rerun → identical
-//!    outcomes and fault timelines, pinned by `tests/golden/`;
+//! 5. the whole chaos run is deterministic: same seed + schedule on every
+//!    rerun → identical outcomes and fault timelines, pinned by
+//!    `tests/golden/`;
 //! 6. generated random schedules (all fault families, including byzantine
 //!    producers and region outages) replay bit-identically;
 //! 7. duplicate submissions share one Interest and all terminate;
@@ -299,34 +299,26 @@ fn lidc_beats_baseline_under_identical_fault_schedule() {
 
 /// Scenario 5: chaos is deterministic. The same seed + schedule must
 /// produce byte-identical outcomes (counts, p99, wasted work, fault
-/// timeline) with 1- and 4-way-sharded forwarder tables and across repeat
-/// runs, equal to the recorded golden.
+/// timeline) across repeat runs, equal to the recorded golden.
 #[test]
-fn chaos_outcome_identical_across_shards_and_reruns() {
+fn chaos_outcome_identical_across_reruns() {
     let cfg = ChaosConfig::standard(777);
-    let lidc = lidc_across_shards_and_reruns(&cfg);
+    let lidc = lidc_across_reruns(&cfg);
     assert_golden("chaos5_standard_777_lidc", &lidc.fingerprint());
 
     let baseline = run_baseline_chaos(&cfg);
-    let mut wide = cfg.clone();
-    wide.shards = 4;
-    assert_eq!(
-        baseline.fingerprint(),
-        run_baseline_chaos(&wide).fingerprint(),
-        "baseline chaos outcome depends on shard count"
-    );
     assert_golden("chaos5_standard_777_baseline", &baseline.fingerprint());
 }
 
 /// Scenario 6: *generated* random schedules, not just the hand-written
 /// one. Each seed draws a fresh fault mix through
 /// [`FaultSchedule::generate`] from a dedicated RNG stream; the run must
-/// still be bit-identical across 1/4-way-sharded forwarders and reruns.
+/// still be bit-identical across reruns.
 /// This is what lets CI throw a different storm at every
 /// scenario without ever producing an unreproducible failure: any red run
 /// replays exactly from its seed.
 #[test]
-fn generated_schedules_are_deterministic_across_shards() {
+fn generated_schedules_are_deterministic_across_reruns() {
     for seed in [0xC0FFEE_u64, 31_337] {
         let profile = ChaosProfile {
             horizon: SimDuration::from_secs(120),
@@ -371,7 +363,7 @@ fn generated_schedules_are_deterministic_across_shards() {
         cfg.schedule = schedule;
         cfg.horizon = SimDuration::from_mins(30);
 
-        let lidc = lidc_across_shards_and_reruns(&cfg);
+        let lidc = lidc_across_reruns(&cfg);
         assert_golden(&format!("chaos6_generated_{seed:x}_lidc"), &lidc.fingerprint());
         assert_golden(
             &format!("chaos6_generated_{seed:x}_baseline"),
@@ -453,24 +445,16 @@ fn duplicate_submissions_share_a_name_and_all_terminate() {
     );
 }
 
-/// Run the LIDC world with 1- and 4-way-sharded forwarders, twice each,
-/// and demand bit-identical fingerprints. Returns the reference outcome.
-fn lidc_across_shards_and_reruns(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosOutcome {
-    let mut reference = None;
-    for shards in [1, 4, 1, 4] {
-        let mut c = cfg.clone();
-        c.shards = shards;
-        let outcome = run_lidc_chaos(&c);
-        match &reference {
-            None => reference = Some(outcome),
-            Some(r) => assert_eq!(
-                outcome.fingerprint(),
-                r.fingerprint(),
-                "outcome at {shards} shards diverged"
-            ),
-        }
-    }
-    reference.expect("at least one run")
+/// Run the LIDC world twice and demand bit-identical fingerprints.
+/// Returns the first outcome.
+fn lidc_across_reruns(cfg: &ChaosConfig) -> lidc::baseline::chaos::ChaosOutcome {
+    let reference = run_lidc_chaos(cfg);
+    assert_eq!(
+        run_lidc_chaos(cfg).fingerprint(),
+        reference.fingerprint(),
+        "rerun diverged"
+    );
+    reference
 }
 
 /// Scenario 8: a byzantine producer. From t=15s on, `east`'s gateway
@@ -478,13 +462,13 @@ fn lidc_across_shards_and_reruns(cfg: &ChaosConfig) -> lidc::baseline::chaos::Ch
 /// name. The first-hop verification gate must reject each forgery before
 /// it can satisfy a PIT entry or enter a Content Store, the clients'
 /// resubmission path must steer the whole job stream to the honest
-/// clusters, and the run must stay bit-identical across shards and reruns.
-/// (`run_lidc_chaos` additionally scans every forwarder's CS shard for
-/// unverifiable Data after the run.)
+/// clusters, and the run must stay bit-identical across reruns.
+/// (`run_lidc_chaos` additionally scans every forwarder's Content Store
+/// for unverifiable Data after the run.)
 #[test]
 fn byzantine_producer_is_contained_and_lidc_still_completes() {
     let cfg = ChaosConfig::byzantine(4242);
-    let lidc = lidc_across_shards_and_reruns(&cfg);
+    let lidc = lidc_across_reruns(&cfg);
     let baseline = run_baseline_chaos(&cfg);
     assert_golden("chaos8_byzantine_4242_lidc", &lidc.fingerprint());
     assert_golden("chaos8_byzantine_4242_baseline", &baseline.fingerprint());
@@ -518,11 +502,11 @@ fn byzantine_producer_is_contained_and_lidc_still_completes() {
 /// world, both node pools in the baseline world) and one heal restores
 /// them together at t=90s. LIDC must ride out the outage on the surviving
 /// `south` and complete the entire job stream, bit-identically across
-/// shards and reruns.
+/// reruns.
 #[test]
 fn region_outage_takes_down_the_region_together_and_heals() {
     let cfg = ChaosConfig::region_outage(31_415);
-    let lidc = lidc_across_shards_and_reruns(&cfg);
+    let lidc = lidc_across_reruns(&cfg);
     let baseline = run_baseline_chaos(&cfg);
     assert_golden("chaos9_region_outage_31415_lidc", &lidc.fingerprint());
     assert_golden("chaos9_region_outage_31415_baseline", &baseline.fingerprint());

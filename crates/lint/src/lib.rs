@@ -26,6 +26,8 @@
 //! [`allow`]); an allow that suppresses nothing is itself a finding.
 //! `docs/DETERMINISM.md` is the human-facing statement of the contract.
 
+#![forbid(unsafe_code)]
+
 pub mod allow;
 pub mod analyze;
 pub mod callgraph;

@@ -6,7 +6,8 @@
 //! * [`name`] — hierarchical names with URI parse/print and canonical order.
 //! * [`tlv`] — the NDN v0.3 Type-Length-Value wire encoding.
 //! * [`packet`] — Interest / Data / NACK packets with signatures.
-//! * [`crypto`] — SHA-256 and HMAC-SHA256 (no external crypto crates).
+//! * [`crypto`] — SHA-256 and HMAC-SHA256 (no external crypto crates), on
+//!   a SHA-NI kernel where the CPU has one.
 //! * [`tables`] — FIB (longest-prefix match), PIT (aggregation), CS (LRU
 //!   cache with freshness).
 //! * [`strategy`] — best-route, multicast, round-robin, and smoothed-RTT
@@ -35,7 +36,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: `crypto::compress_blocks` allows the crate's one
+// `unsafe` block, the feature-checked call into the SHA-NI kernel.
+#![deny(unsafe_code)]
 
 pub mod app;
 pub mod crypto;

@@ -5,9 +5,9 @@
 //! format. The link model charges transmission time by [`Interest::encoded_size`] /
 //! [`Data::encoded_size`], and the benches exercise full encode/decode.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
-use crate::crypto::{hmac_sha256, sha256, DIGEST_LEN};
+use crate::crypto::{sha256, HmacSha256, Sha256, DIGEST_LEN};
 use crate::name::{Name, NameComponent};
 use crate::tlv::{
     nonneg_tlv_size, parse_nonneg, put_nonneg_tlv, put_tlv, put_var_number, tlv_size, types,
@@ -330,7 +330,7 @@ impl Data {
         len
     }
 
-    fn put_meta_info(&self, out: &mut BytesMut) {
+    fn put_meta_info(&self, out: &mut impl BufMut) {
         if self.content_type != ContentType::Blob {
             put_nonneg_tlv(out, types::CONTENT_TYPE, self.content_type.code());
         }
@@ -359,7 +359,7 @@ impl Data {
         len
     }
 
-    fn put_signature_info(&self, out: &mut BytesMut) {
+    fn put_signature_info(&self, out: &mut impl BufMut) {
         put_nonneg_tlv(out, types::SIGNATURE_TYPE, self.signature.typ.code());
         if let Some(kl) = &self.signature.key_locator {
             put_var_number(out, types::KEY_LOCATOR);
@@ -380,7 +380,10 @@ impl Data {
         len + tlv_size(types::SIGNATURE_INFO, self.signature_info_len())
     }
 
-    fn put_signed_portion(&self, out: &mut BytesMut) {
+    /// Write the elements of the signed portion (Name .. SignatureInfo,
+    /// exclusive of SignatureValue) to `out`: the wire buffer in
+    /// [`Data::encode`], a hasher when signing or verifying.
+    fn put_signed_elements(&self, out: &mut impl BufMut) {
         put_name_tlv(out, &self.name);
         let meta_len = self.meta_info_len();
         if meta_len > 0 {
@@ -394,11 +397,18 @@ impl Data {
         self.put_signature_info(out);
     }
 
-    fn signed_portion(&self) -> Bytes {
-        // Per spec: Name .. SignatureInfo (exclusive of SignatureValue).
-        let mut body = BytesMut::with_capacity(self.signed_portion_len());
-        self.put_signed_portion(&mut body);
-        body.freeze()
+    /// SHA-256 of the signed portion, hashed in place.
+    fn signed_digest(&self) -> [u8; DIGEST_LEN] {
+        let mut h = Sha256::new();
+        self.put_signed_elements(&mut h);
+        h.finalize()
+    }
+
+    /// HMAC-SHA256 of the signed portion under `key`, hashed in place.
+    fn signed_mac(&self, key: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut mac = HmacSha256::new(key);
+        self.put_signed_elements(&mut mac);
+        mac.finalize()
     }
 
     /// Sign with `DigestSha256` (integrity only).
@@ -408,8 +418,7 @@ impl Data {
             key_locator: None,
             value: Bytes::new(),
         };
-        let digest = sha256(&self.signed_portion());
-        self.signature.value = Bytes::copy_from_slice(&digest);
+        self.signature.value = Bytes::copy_from_slice(&self.signed_digest());
         self
     }
 
@@ -420,8 +429,7 @@ impl Data {
             key_locator: Some(Box::new(key_name)),
             value: Bytes::new(),
         };
-        let mac = hmac_sha256(key, &self.signed_portion());
-        self.signature.value = Bytes::copy_from_slice(&mac);
+        self.signature.value = Bytes::copy_from_slice(&self.signed_mac(key));
         self
     }
 
@@ -459,18 +467,13 @@ impl Data {
     }
 
     /// Verify the signature: digest recomputation, or HMAC under `key`
-    /// (required iff the flavour is HMAC).
+    /// (required iff the flavour is HMAC). The signed portion streams from
+    /// the packet's fields into the hasher; nothing is copied or allocated.
     pub fn verify(&self, key: Option<&[u8]>) -> bool {
         match self.signature.typ {
-            SignatureType::DigestSha256 => {
-                let digest = sha256(&self.signed_portion());
-                self.signature.value.as_ref() == digest
-            }
+            SignatureType::DigestSha256 => self.signature.value.as_ref() == self.signed_digest(),
             SignatureType::HmacWithSha256 => match key {
-                Some(key) => {
-                    let mac = hmac_sha256(key, &self.signed_portion());
-                    self.signature.value.as_ref() == mac
-                }
+                Some(key) => self.signature.value.as_ref() == self.signed_mac(key),
                 None => false,
             },
         }
@@ -488,7 +491,7 @@ impl Data {
         let mut out = BytesMut::with_capacity(tlv_size(types::DATA, body_len));
         put_var_number(&mut out, types::DATA);
         put_var_number(&mut out, body_len as u64);
-        self.put_signed_portion(&mut out);
+        self.put_signed_elements(&mut out);
         put_tlv(&mut out, types::SIGNATURE_VALUE, &self.signature.value);
         out.freeze()
     }
@@ -675,14 +678,14 @@ pub fn name_body_len(name: &Name) -> usize {
 }
 
 /// Append the body (component sequence) of a Name TLV.
-pub fn put_name_body(out: &mut BytesMut, name: &Name) {
+pub fn put_name_body(out: &mut impl BufMut, name: &Name) {
     for c in name.components() {
         put_tlv(out, u64::from(c.typ()), c.value());
     }
 }
 
 /// Append a complete Name TLV (header + component sequence).
-pub fn put_name_tlv(out: &mut BytesMut, name: &Name) {
+pub fn put_name_tlv(out: &mut impl BufMut, name: &Name) {
     put_var_number(out, types::NAME);
     put_var_number(out, name_body_len(name) as u64);
     put_name_body(out, name);

@@ -5,7 +5,7 @@
 //! big-endian number, `254` a 4-byte, `255` an 8-byte. Both TLV-TYPE and
 //! TLV-LENGTH use this scheme.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// TLV-TYPE assignments used by this implementation (NDN packet spec v0.3).
@@ -66,7 +66,7 @@ pub const fn var_number_size(n: u64) -> usize {
 }
 
 /// Append a var-number to `out`.
-pub fn put_var_number(out: &mut BytesMut, n: u64) {
+pub fn put_var_number(out: &mut impl BufMut, n: u64) {
     if n < 253 {
         out.put_u8(n as u8);
     } else if n <= 0xFFFF {
@@ -87,7 +87,7 @@ pub const fn tlv_size(typ: u64, value_len: usize) -> usize {
 }
 
 /// Append a full TLV element.
-pub fn put_tlv(out: &mut BytesMut, typ: u64, value: &[u8]) {
+pub fn put_tlv(out: &mut impl BufMut, typ: u64, value: &[u8]) {
     put_var_number(out, typ);
     put_var_number(out, value.len() as u64);
     out.put_slice(value);
@@ -95,7 +95,7 @@ pub fn put_tlv(out: &mut BytesMut, typ: u64, value: &[u8]) {
 
 /// Append a TLV element whose value is a NonNegativeInteger (1/2/4/8 bytes,
 /// shortest form among those widths, per the NDN spec).
-pub fn put_nonneg_tlv(out: &mut BytesMut, typ: u64, n: u64) {
+pub fn put_nonneg_tlv(out: &mut impl BufMut, typ: u64, n: u64) {
     put_var_number(out, typ);
     if n <= 0xFF {
         put_var_number(out, 1);

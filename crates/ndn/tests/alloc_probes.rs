@@ -181,6 +181,31 @@ fn small_name_plane_operations_allocate_nothing() {
 }
 
 #[test]
+fn data_verify_allocates_nothing() {
+    // Signing and verifying hash the signed portion where it lies. The only
+    // allocation left is the signature value itself, one `Bytes`, measured
+    // here rather than assumed so the bound follows the `bytes` stand-in.
+    let (value_allocs, _) = allocs_during(|| bytes::Bytes::copy_from_slice(&[0u8; 32]));
+    let name = Name::parse("/ndn/k8s/data/sra/SRR2931415/seg=3").unwrap();
+    for content_len in [64, 1 << 20] {
+        let unsigned = Data::new(name.clone(), vec![0x5au8; content_len]);
+        let (n, signed) = allocs_during(|| unsigned.sign_digest());
+        assert!(
+            n <= value_allocs,
+            "sign_digest of {content_len} B made {n} allocations, more than its 32-byte value ({value_allocs})"
+        );
+        let (n, ok) = allocs_during(|| signed.verify(None));
+        assert!(ok);
+        assert_eq!(n, 0, "verify of {content_len} B digest-signed Data must not allocate");
+    }
+    let key = b"shared-cluster-key";
+    let hmac = Data::new(name, vec![0x5au8; 64]).sign_hmac(Name::parse("/keys/a").unwrap(), key);
+    let (n, ok) = allocs_during(|| hmac.verify(Some(key)));
+    assert!(ok);
+    assert_eq!(n, 0, "verify of HMAC-signed Data must not allocate");
+}
+
+#[test]
 fn interest_lifecycle_steady_state_allocations_are_bounded() {
     // End-to-end sanity: a full insert+match+take PIT cycle allocates only
     // for the entry state it must keep (records vecs, map growth), not for

@@ -3,13 +3,14 @@
 //! aggregation invariants, and Content-Store capacity/LRU invariants.
 
 use bytes::Bytes;
+use lidc_ndn::crypto::{hmac_sha256, sha256};
 use lidc_ndn::face::FaceId;
 use lidc_ndn::name::{Name, NameComponent};
 use lidc_ndn::packet::{ContentType, Data, Interest};
 use lidc_ndn::tables::cs::ContentStore;
 use lidc_ndn::tables::fib::Fib;
 use lidc_ndn::tables::pit::{InsertOutcome, Pit};
-use lidc_ndn::tlv::TlvReader;
+use lidc_ndn::tlv::{types, TlvReader};
 use lidc_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -93,6 +94,30 @@ proptest! {
 
 // --- packet codec properties ------------------------------------------------
 
+/// Content that is empty a third of the time.
+fn arb_content(max: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        Just(Vec::new()),
+        proptest::collection::vec(any::<u8>(), 1..max),
+        proptest::collection::vec(any::<u8>(), 1..max),
+    ]
+}
+
+/// The signed portion as it sits on the wire: the Data body from the Name
+/// TLV up to, not including, the SignatureValue TLV. The reference for the
+/// bytes `sign_*` and `verify` stream into the hasher.
+fn signed_portion_on_wire(wire: &[u8]) -> &[u8] {
+    let body = TlvReader::new(wire).read_expected(types::DATA).unwrap();
+    let mut r = TlvReader::new(body);
+    loop {
+        let end = body.len() - r.remaining();
+        let (typ, _) = r.read_tlv().unwrap();
+        if typ == types::SIGNATURE_VALUE {
+            return &body[..end];
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn interest_wire_round_trip(
@@ -118,8 +143,9 @@ proptest! {
     #[test]
     fn data_wire_round_trip_and_signature(
         name in arb_name(),
-        content in proptest::collection::vec(any::<u8>(), 0..256),
+        content in arb_content(256),
         freshness_ms in 0u64..600_000,
+        with_meta in any::<bool>(),
         kind in 0u8..3,
     ) {
         let content_type = match kind {
@@ -127,12 +153,17 @@ proptest! {
             1 => ContentType::Link,
             _ => ContentType::Nack,
         };
-        let data = Data::new(name, content)
-            .with_content_type(content_type)
-            .with_freshness(SimDuration::from_millis(freshness_ms))
-            .sign_digest();
+        // Blob without freshness leaves MetaInfo out entirely.
+        let mut data = Data::new(name, content).with_content_type(content_type);
+        if with_meta {
+            data = data.with_freshness(SimDuration::from_millis(freshness_ms));
+        }
+        let data = data.sign_digest();
         let wire = data.encode();
         prop_assert_eq!(wire.len(), data.encoded_size());
+        let digest = sha256(signed_portion_on_wire(&wire));
+        prop_assert_eq!(data.signature.value.as_ref(), &digest[..]);
+        prop_assert!(data.verify(None), "digest signature verifies");
         let decoded = Data::decode(&wire).unwrap();
         prop_assert!(decoded.verify(None), "digest signature verifies");
         prop_assert_eq!(decoded, data);
@@ -157,12 +188,20 @@ proptest! {
     #[test]
     fn hmac_signature_requires_right_key(
         name in arb_text_name(),
-        content in proptest::collection::vec(any::<u8>(), 0..64),
-        key in proptest::collection::vec(any::<u8>(), 1..32),
+        content in arb_content(64),
+        freshness_ms in 0u64..600_000,
+        with_meta in any::<bool>(),
+        key in proptest::collection::vec(any::<u8>(), 1..100),
         other_key in proptest::collection::vec(any::<u8>(), 1..32),
     ) {
-        let data = Data::new(name, content)
-            .sign_hmac(Name::parse("/keys/k1").unwrap(), &key);
+        let mut data = Data::new(name, content);
+        if with_meta {
+            data = data.with_freshness(SimDuration::from_millis(freshness_ms));
+        }
+        // The KeyLocator names the key inside the signed portion.
+        let data = data.sign_hmac(Name::parse("/keys/k1").unwrap(), &key);
+        let mac = hmac_sha256(&key, signed_portion_on_wire(&data.encode()));
+        prop_assert_eq!(data.signature.value.as_ref(), &mac[..]);
         prop_assert!(data.verify(Some(&key)));
         if other_key != key {
             prop_assert!(!data.verify(Some(&other_key)));

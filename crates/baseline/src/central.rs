@@ -9,9 +9,14 @@
 //! flows through this one actor, which holds direct handles to every
 //! member cluster's API server. Kill the actor (single point of failure)
 //! and no placement happens anywhere, even though every cluster is healthy.
+//!
+//! Its users run the LIDC [`ScienceClient`] unchanged, deployed through
+//! [`deploy_client`] with [`ADDRESSING`]: requests name the *controller*
+//! (`/central/submit/…`, `/central/status/…`) instead of the computation.
 
 use std::collections::HashMap;
 
+use lidc_core::client::{Addressing, ClientConfig, ScienceClient};
 use lidc_core::gateway::SharedPredictor;
 use lidc_core::naming::ComputeRequest;
 use lidc_core::status::{JobState, SubmitAck};
@@ -287,6 +292,30 @@ impl Actor for CentralController {
     }
 }
 
+/// The client addressing of the centralized world: submit and status
+/// Interests go to the controller.
+pub const ADDRESSING: Addressing = Addressing {
+    submit: submit_name,
+    status: status_name,
+};
+
+/// Deploy a science client that places through the controller on `fwd`
+/// (the router the controller lives on). Result fetching is off: the
+/// controller serves no result objects.
+pub fn deploy_client(
+    config: ClientConfig,
+    sim: &mut Sim,
+    fwd: ActorId,
+    alloc: &FaceIdAlloc,
+    label: impl Into<String>,
+) -> ActorId {
+    let config = ClientConfig {
+        fetch_results: false,
+        ..config
+    };
+    ScienceClient::deploy_addressed(config, ADDRESSING, sim, fwd, alloc, label)
+}
+
 /// Build the submit Interest name for a request.
 pub fn submit_name(request: &ComputeRequest) -> Name {
     central_prefix()
@@ -297,4 +326,140 @@ pub fn submit_name(request: &ComputeRequest) -> Name {
 /// Build the status Interest name for a job id.
 pub fn status_name(job_id: &str) -> Name {
     central_prefix().child_str("status").child_str(job_id)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lidc_core::client::Submit;
+    use lidc_k8s::cluster::ClusterConfig;
+    use lidc_k8s::node::Node;
+    use lidc_k8s::resources::Resources;
+    use lidc_ndn::forwarder::{Forwarder, ForwarderConfig};
+
+    fn k8s_cluster(sim: &mut Sim, name: &str) -> Cluster {
+        let c = Cluster::spawn(sim, ClusterConfig::named(name));
+        c.add_node(sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
+        c
+    }
+
+    fn world(
+        sim: &mut Sim,
+        policy: CentralPolicy,
+        member_names: &[&str],
+    ) -> (ActorId, ActorId, Vec<Cluster>) {
+        let alloc = FaceIdAlloc::new();
+        let router = sim.spawn(
+            "router",
+            Forwarder::new("router", ForwarderConfig::default()),
+        );
+        let controller = CentralController::new(policy).deploy(sim, router, &alloc);
+        let mut clusters = Vec::new();
+        for name in member_names {
+            let c = k8s_cluster(sim, name);
+            CentralController::add_member(sim, controller, *name, c.clone());
+            clusters.push(c);
+        }
+        let client = deploy_client(ClientConfig::default(), sim, router, &alloc, "central-client");
+        (controller, client, clusters)
+    }
+
+    fn blast() -> ComputeRequest {
+        ComputeRequest::new("BLAST", 2, 4)
+            .with_param("srr", "SRR2931415")
+            .with_param("ref", "HUMAN")
+    }
+
+    #[test]
+    fn central_submission_completes() {
+        let mut sim = Sim::new(1);
+        let (_controller, client, _clusters) =
+            world(&mut sim, CentralPolicy::RoundRobin, &["a", "b"]);
+        sim.send(client, Submit(blast()));
+        sim.run();
+        let runs = sim.actor::<ScienceClient>(client).unwrap().runs();
+        assert_eq!(runs.len(), 1);
+        assert!(runs[0].is_success(), "error = {:?}", runs[0].error);
+        assert_eq!(runs[0].cluster.as_deref(), Some("a"));
+    }
+
+    #[test]
+    fn round_robin_cycles_members() {
+        let mut sim = Sim::new(2);
+        let (_controller, client, _clusters) =
+            world(&mut sim, CentralPolicy::RoundRobin, &["a", "b", "c"]);
+        for i in 0..6 {
+            // Distinct tags keep the six submit-Interest names distinct, so
+            // neither the PIT nor the consumer's pending table aggregates
+            // them into one request.
+            sim.send(
+                client,
+                Submit(blast().with_param("tag", i.to_string())),
+            );
+        }
+        sim.run();
+        let runs = sim.actor::<ScienceClient>(client).unwrap().runs();
+        let mut by_cluster: Vec<&str> = runs.iter().filter_map(|r| r.cluster.as_deref()).collect();
+        by_cluster.sort_unstable();
+        assert_eq!(by_cluster, ["a", "a", "b", "b", "c", "c"]);
+    }
+
+    #[test]
+    fn least_loaded_prefers_idle_member() {
+        let mut sim = Sim::new(3);
+        let (_controller, client, clusters) =
+            world(&mut sim, CentralPolicy::GlobalLeastLoaded, &["busy", "idle"]);
+        // Pre-load the first cluster with a long-running placeholder job so
+        // the global view shows it as busy.
+        let now = sim.now();
+        {
+            let mut api = clusters[0].api.write();
+            let spec = lidc_k8s::pod::PodSpec::single(lidc_k8s::pod::ContainerSpec {
+                name: "hog".into(),
+                image: "hog:latest".into(),
+                requests: Resources::new(14, 60),
+                workload: lidc_k8s::pod::WorkloadSpec::Run {
+                    duration: SimDuration::from_hours(100),
+                    output: None,
+                },
+            });
+            let job = lidc_k8s::job::Job::new(
+                lidc_k8s::meta::ObjectMeta::named("hog"),
+                spec,
+                1,
+            );
+            api.create_job(job, now).unwrap();
+        }
+        sim.send(clusters[0].actor, lidc_k8s::cluster::Nudge);
+        sim.run_for(SimDuration::from_secs(5));
+        sim.send(client, Submit(blast()));
+        sim.run();
+        let runs = sim.actor::<ScienceClient>(client).unwrap().runs();
+        assert!(runs[0].is_success(), "error = {:?}", runs[0].error);
+        assert_eq!(runs[0].cluster.as_deref(), Some("idle"));
+    }
+
+    #[test]
+    fn controller_crash_fails_all_placement() {
+        let mut sim = Sim::new(4);
+        let (controller, client, _clusters) =
+            world(&mut sim, CentralPolicy::RoundRobin, &["a", "b"]);
+        // Kill the single point of failure before anything is submitted.
+        sim.kill(controller);
+        sim.send(client, Submit(blast()));
+        sim.run();
+        let runs = sim.actor::<ScienceClient>(client).unwrap().runs();
+        assert!(!runs[0].is_success());
+        assert!(runs[0].error.as_deref().unwrap().contains("submit-"));
+    }
+
+    #[test]
+    fn no_members_nacked() {
+        let mut sim = Sim::new(5);
+        let (_controller, client, _clusters) = world(&mut sim, CentralPolicy::RoundRobin, &[]);
+        sim.send(client, Submit(blast()));
+        sim.run();
+        let runs = sim.actor::<ScienceClient>(client).unwrap().runs();
+        assert_eq!(runs[0].error.as_deref(), Some("no-members"));
+    }
 }

@@ -57,8 +57,7 @@ use lidc_simcore::faults::{
 use lidc_simcore::report::Table;
 use lidc_simcore::time::SimDuration;
 
-use crate::central::{CentralController, CentralPolicy};
-use crate::client::{CentralClient, SubmitCentral};
+use crate::central::{deploy_client, CentralController, CentralPolicy};
 
 /// One chaos experiment: topology, workload, faults, and run length.
 #[derive(Debug, Clone)]
@@ -445,6 +444,24 @@ pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     );
     let alloc = overlay.alloc.clone();
     let client = ScienceClient::deploy(cfg.client_config(), &mut sim, overlay.router, &alloc, "u");
+    let mut forwarders = vec![("router".to_owned(), overlay.router)];
+    for c in &overlay.clusters {
+        forwarders.push((format!("{}-nfd", c.name), c.gateway_fwd));
+    }
+    run_world(cfg, sim, "lidc", client, controller, &forwarders)
+}
+
+/// Submit `cfg`'s job stream to `client`, run to the horizon, check the
+/// run-wide invariants (metric keys, no poisoned Content Store among
+/// `forwarders`) and reduce the world to its [`ChaosOutcome`].
+fn run_world(
+    cfg: &ChaosConfig,
+    mut sim: Sim,
+    label: &str,
+    client: ActorId,
+    fault_controller: ActorId,
+    forwarders: &[(String, ActorId)],
+) -> ChaosOutcome {
     for tag in 0..cfg.jobs {
         let at = cfg.submit_spacing.mul_f64(f64::from(tag));
         sim.send_after(at, client, Submit(cfg.request(tag)));
@@ -455,17 +472,13 @@ pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let failed = runs.iter().filter(|r| r.error.is_some()).count() as u32;
     let turnarounds = runs.iter().filter_map(|r| r.turnaround()).collect();
     let timeline = sim
-        .actor::<FaultController>(controller)
+        .actor::<FaultController>(fault_controller)
         .expect("controller")
         .timeline_text();
     assert_metrics_registered(&sim);
-    let mut forwarders = vec![("router".to_owned(), overlay.router)];
-    for c in &overlay.clusters {
-        forwarders.push((format!("{}-nfd", c.name), c.gateway_fwd));
-    }
-    assert_no_poisoned_cache(&sim, &forwarders);
+    assert_no_poisoned_cache(&sim, forwarders);
     ChaosOutcome {
-        label: "lidc".into(),
+        label: label.into(),
         submitted: runs.len() as u32,
         completed,
         failed,
@@ -546,34 +559,9 @@ pub fn run_baseline_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
     let fault_controller =
         FaultController::deploy(&mut sim, cfg.schedule.clone(), baseline_hook(k8s));
-    let client = CentralClient::deploy(cfg.client_config(), &mut sim, router, &alloc, "u");
-    for tag in 0..cfg.jobs {
-        let at = cfg.submit_spacing.mul_f64(f64::from(tag));
-        sim.send_after(at, client, SubmitCentral(cfg.request(tag)));
-    }
-    sim.run_for(cfg.horizon);
-    let runs = sim.actor::<CentralClient>(client).expect("client").runs();
-    let completed = runs.iter().filter(|r| r.is_success()).count() as u32;
-    let failed = runs.iter().filter(|r| r.error.is_some()).count() as u32;
-    let turnarounds = runs.iter().filter_map(|r| r.turnaround()).collect();
-    let timeline = sim
-        .actor::<FaultController>(fault_controller)
-        .expect("controller")
-        .timeline_text();
-    assert_metrics_registered(&sim);
-    assert_no_poisoned_cache(&sim, &[("router".to_owned(), router)]);
-    ChaosOutcome {
-        label: "baseline".into(),
-        submitted: runs.len() as u32,
-        completed,
-        failed,
-        p99_turnaround: p99(turnarounds),
-        resubmissions: sim.metrics_ref().counter("client.resubmissions"),
-        faults_injected: sim.metrics_ref().counter("fault.injected"),
-        verify_failed: sim.metrics_ref().counter("ndn.verify_failed"),
-        cs_poison_rejected: sim.metrics_ref().counter("ndn.cs_poison_rejected"),
-        fault_timeline: timeline,
-    }
+    let client = deploy_client(cfg.client_config(), &mut sim, router, &alloc, "u");
+    let forwarders = [("router".to_owned(), router)];
+    run_world(cfg, sim, "baseline", client, fault_controller, &forwarders)
 }
 
 /// Render the side-by-side comparison the `chaos` CLI subcommand prints.

@@ -11,11 +11,12 @@
 //! * [`central`] — a logically centralized federated controller
 //!   ([`central::CentralController`]). Every placement decision flows
 //!   through one actor that must be told about every member cluster; it is
-//!   also a single point of failure.
-//! * [`client`] — the science client for the centralized path
-//!   ([`client::CentralClient`]); identical polling/retry behaviour to the
-//!   LIDC [`ScienceClient`](lidc_core::client::ScienceClient), but requests
-//!   name the *controller*, not the computation.
+//!   also a single point of failure. Its client *is* the LIDC
+//!   [`ScienceClient`](lidc_core::client::ScienceClient), deployed by
+//!   [`central::deploy_client`] with the controller's
+//!   [`Addressing`](lidc_core::client::Addressing) and no result fetch:
+//!   requests name the *controller*, not the computation, and submission,
+//!   polling, backoff and resubmission are identical by construction.
 //! * [`manual`] — the per-platform manual configuration workflow
 //!   ([`manual::ManualWorkflow`]): statically attached to one cluster, with
 //!   an explicit operator delay charged for every re-tailoring.
@@ -28,17 +29,16 @@
 
 pub mod central;
 pub mod chaos;
-pub mod client;
 pub mod manual;
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::central::{
-        central_prefix, status_name, submit_name, CentralController, CentralPolicy,
+        central_prefix, deploy_client, status_name, submit_name, CentralController,
+        CentralPolicy,
     };
     pub use crate::chaos::{
         comparison_table, run_baseline_chaos, run_lidc_chaos, ChaosConfig, ChaosOutcome,
     };
-    pub use crate::client::{BaselineRun, CentralClient, SubmitCentral};
     pub use crate::manual::{ManualWorkflow, DEFAULT_RECONFIG_DELAY};
 }

@@ -14,8 +14,7 @@
 //! ```
 
 use lidc_bench::{finish, tagged_blast};
-use lidc_baseline::central::{CentralController, CentralPolicy};
-use lidc_baseline::client::{CentralClient, SubmitCentral};
+use lidc_baseline::central::{deploy_client, CentralController, CentralPolicy};
 use lidc_core::client::{ClientConfig, ScienceClient, Submit};
 use lidc_core::overlay::{ClusterSpec, Overlay, OverlayConfig};
 use lidc_core::placement::PlacementPolicy;
@@ -61,19 +60,19 @@ fn main() {
             CentralController::add_member(&mut sim, controller, name, c);
         }
         let client =
-            CentralClient::deploy(ClientConfig::default(), &mut sim, router, &alloc, "client");
+            deploy_client(ClientConfig::default(), &mut sim, router, &alloc, "client");
         for tag in 0..WAVE as u64 {
-            sim.send_after(SimDuration::from_secs(10) * tag, client, SubmitCentral(request(tag)));
+            sim.send_after(SimDuration::from_secs(10) * tag, client, Submit(request(tag)));
         }
         sim.run();
-        let wave1 = sim.actor::<CentralClient>(client).unwrap().successes();
+        let wave1 = sim.actor::<ScienceClient>(client).unwrap().successes();
         // The single point of failure fails. Every cluster is still healthy.
         sim.kill(controller);
         for tag in WAVE as u64..(2 * WAVE) as u64 {
-            sim.send_after(SimDuration::from_secs(10) * (tag - WAVE as u64), client, SubmitCentral(request(tag)));
+            sim.send_after(SimDuration::from_secs(10) * (tag - WAVE as u64), client, Submit(request(tag)));
         }
         sim.run();
-        let wave2 = sim.actor::<CentralClient>(client).unwrap().successes() - wave1;
+        let wave2 = sim.actor::<ScienceClient>(client).unwrap().successes() - wave1;
         t.push_row(vec![
             "centralized controller".to_owned(),
             "controller actor killed".to_owned(),

@@ -15,8 +15,7 @@
 //! ```
 
 use lidc_bench::{finish, tagged_blast};
-use lidc_baseline::central::{CentralController, CentralPolicy};
-use lidc_baseline::client::{CentralClient, SubmitCentral};
+use lidc_baseline::central::{deploy_client, CentralController, CentralPolicy};
 use lidc_baseline::manual::ManualWorkflow;
 use lidc_core::client::{ClientConfig, ScienceClient, Submit};
 use lidc_core::cluster::{LidcCluster, LidcClusterConfig};
@@ -88,12 +87,12 @@ fn run_central() -> (usize, usize, u32) {
         CentralController::add_member(&mut sim, controller, name, c.clone());
         members.push(c);
     }
-    let client = CentralClient::deploy(ClientConfig::default(), &mut sim, router, &alloc, "client");
+    let client = deploy_client(ClientConfig::default(), &mut sim, router, &alloc, "client");
     for tag in 0..WAVE as u64 {
         sim.send_after(
             SimDuration::from_secs(30) * tag,
             client,
-            SubmitCentral(wave_request(tag)),
+            Submit(wave_request(tag)),
         );
     }
     sim.run_for(SimDuration::from_mins(10));
@@ -105,11 +104,11 @@ fn run_central() -> (usize, usize, u32) {
         sim.send_after(
             SimDuration::from_secs(30) * (tag - WAVE as u64),
             client,
-            SubmitCentral(wave_request(tag)),
+            Submit(wave_request(tag)),
         );
     }
     sim.run_for(SimDuration::from_hours(HORIZON_HOURS));
-    let runs = sim.actor::<CentralClient>(client).unwrap().runs();
+    let runs = sim.actor::<ScienceClient>(client).unwrap().runs();
     let ok = runs.iter().filter(|r| r.is_success()).count();
     (ok, runs.len(), 1) // 1 operator intervention still owed (b never fixed)
 }

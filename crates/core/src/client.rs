@@ -6,6 +6,16 @@
 //! and finally retrieves the result from the data lake. Every step is
 //! timestamped, which is exactly what the `fig5` workflow-trace experiment
 //! reports.
+//!
+//! The same actor is the client of every compared world: only where a
+//! request is addressed differs. An [`Addressing`] value holds the two
+//! naming functions — request → submit Interest name, job id → status
+//! Interest name. The default names the *computation*
+//! ([`ComputeRequest::to_name`], [`JobId::status_name`]), so any cluster
+//! may answer; the centralized baseline supplies a pair that names its
+//! controller instead (`lidc_baseline::central::ADDRESSING`). Submission,
+//! polling, result fetch, backoff and resubmission are therefore identical
+//! by construction.
 
 use std::collections::HashMap;
 
@@ -136,6 +146,25 @@ impl JobRun {
     }
 }
 
+/// Where the client addresses its requests (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub struct Addressing {
+    /// The submit Interest name for a request.
+    pub submit: fn(&ComputeRequest) -> Name,
+    /// The status Interest name for an acked job id.
+    pub status: fn(&str) -> Name,
+}
+
+impl Default for Addressing {
+    /// LIDC's semantic names: `/ndn/k8s/compute/…` and `/ndn/k8s/status/…`.
+    fn default() -> Self {
+        Addressing {
+            submit: ComputeRequest::to_name,
+            status: |job_id| JobId(job_id.to_owned()).status_name(),
+        }
+    }
+}
+
 /// Submit a compute request (message to the client actor).
 #[derive(Debug)]
 pub struct Submit(pub ComputeRequest);
@@ -154,6 +183,7 @@ struct Resubmit {
 pub struct ScienceClient {
     consumer: Option<Consumer>,
     config: ClientConfig,
+    addressing: Addressing,
     runs: Vec<JobRun>,
     /// Pending compute-Interest name → record indexes. One name can carry
     /// several records: duplicate submissions of the same request share an
@@ -171,11 +201,12 @@ pub struct ScienceClient {
 }
 
 impl ScienceClient {
-    /// Build an (unattached) client.
+    /// Build an (unattached) client with LIDC's semantic addressing.
     pub fn new(config: ClientConfig) -> Self {
         ScienceClient {
             consumer: None,
             config,
+            addressing: Addressing::default(),
             runs: Vec::new(),
             active_submits: HashMap::new(),
             active_polls: HashMap::new(),
@@ -192,7 +223,22 @@ impl ScienceClient {
         alloc: &FaceIdAlloc,
         label: impl Into<String>,
     ) -> ActorId {
-        let client = sim.spawn(label.into(), ScienceClient::new(config));
+        Self::deploy_addressed(config, Addressing::default(), sim, fwd, alloc, label)
+    }
+
+    /// [`ScienceClient::deploy`] with the given [`Addressing`].
+    pub fn deploy_addressed(
+        config: ClientConfig,
+        addressing: Addressing,
+        sim: &mut Sim,
+        fwd: ActorId,
+        alloc: &FaceIdAlloc,
+        label: impl Into<String>,
+    ) -> ActorId {
+        let client = sim.spawn(label.into(), ScienceClient {
+            addressing,
+            ..ScienceClient::new(config)
+        });
         let face = attach_app(sim, fwd, client, alloc);
         sim.actor_mut::<ScienceClient>(client).unwrap().consumer =
             Some(Consumer::new(fwd, face));
@@ -230,8 +276,7 @@ impl ScienceClient {
     }
 
     fn express_submit(&mut self, record: usize, ctx: &mut Ctx<'_>) {
-        let request = self.run(record).request.clone();
-        let name = request.to_name();
+        let name = (self.addressing.submit)(&self.run(record).request);
         let interest = Interest::new(name.clone())
             .must_be_fresh(self.config.submit_must_be_fresh)
             .with_lifetime(SimDuration::from_secs(4));
@@ -252,10 +297,10 @@ impl ScienceClient {
     }
 
     fn express_poll(&mut self, record: usize, ctx: &mut Ctx<'_>) {
-        let Some(job_id) = self.run(record).job_id.clone() else {
+        let Some(job_id) = self.run(record).job_id.as_deref() else {
             return;
         };
-        let name = JobId(job_id).status_name();
+        let name = (self.addressing.status)(job_id);
         let interest = Interest::new(name.clone())
             .must_be_fresh(true)
             .with_lifetime(SimDuration::from_secs(4));
@@ -470,31 +515,18 @@ impl Actor for ScienceClient {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<AppRx>() {
-            Ok(rx) => {
-                let event = self.consumer_mut().on_app_rx(&rx);
-                match event {
-                    Some(ConsumerEvent::Data(data)) => self.on_data(data, ctx),
-                    Some(ConsumerEvent::Nack(_, interest)) => {
-                        self.on_failure(interest, "nack", ctx)
-                    }
-                    Some(ConsumerEvent::Timeout(interest)) => {
-                        self.on_failure(interest, "timeout", ctx)
-                    }
-                    None => {}
-                }
-                return;
-            }
-            Err(m) => m,
+        let event = match msg.downcast::<AppRx>() {
+            Ok(rx) => self.consumer_mut().on_app_rx(&rx),
+            Err(m) => match m.downcast::<RetxTimer>() {
+                Ok(t) => self.consumer_mut().on_timer(ctx, &t),
+                Err(_) => return,
+            },
         };
-        if let Ok(t) = msg.downcast::<RetxTimer>() {
-            let event = self.consumer_mut().on_timer(ctx, &t);
-            match event {
-                Some(ConsumerEvent::Timeout(interest)) => self.on_failure(interest, "timeout", ctx),
-                Some(ConsumerEvent::Data(data)) => self.on_data(data, ctx),
-                Some(ConsumerEvent::Nack(_, interest)) => self.on_failure(interest, "nack", ctx),
-                None => {}
-            }
+        match event {
+            Some(ConsumerEvent::Data(data)) => self.on_data(data, ctx),
+            Some(ConsumerEvent::Nack(_, interest)) => self.on_failure(interest, "nack", ctx),
+            Some(ConsumerEvent::Timeout(interest)) => self.on_failure(interest, "timeout", ctx),
+            None => {}
         }
     }
 }

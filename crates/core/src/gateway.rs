@@ -225,11 +225,6 @@ impl Gateway {
         self.predictor = predictor;
     }
 
-    /// Result-cache statistics.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
-
     fn reply(&self, ctx: &mut Ctx<'_>, data: Data) {
         // Single egress chokepoint: every Data this gateway emits passes
         // through here, so an active byzantine fault corrupts all of them.

@@ -91,7 +91,10 @@ struct PendingHttp {
 /// The HTTP→NDN protocol translator actor.
 pub struct HttpBridge {
     consumer: Option<Consumer>,
-    pending: HashMap<Name, PendingHttp>,
+    /// Target name → waiting callers, in arrival order. Identical calls
+    /// share one Interest, so one reply (or NACK, or timeout) answers
+    /// every caller waiting on the name.
+    pending: HashMap<Name, Vec<PendingHttp>>,
     /// Requests translated (diagnostics).
     pub translated: u64,
     /// Requests rejected before hitting the network (diagnostics).
@@ -176,10 +179,10 @@ impl HttpBridge {
     }
 
     fn respond(&mut self, name: &Name, response: HttpResponse, ctx: &mut Ctx<'_>) {
-        if let Some(pending) = self.pending.remove(name) {
+        for pending in self.pending.remove(name).unwrap_or_default() {
             ctx.send(pending.reply_to, HttpReply {
                 tag: pending.tag,
-                response,
+                response: response.clone(),
             });
         }
     }
@@ -193,7 +196,7 @@ impl Actor for HttpBridge {
                     Ok(name) => {
                         self.translated += 1;
                         ctx.metrics().incr("http.translated", 1);
-                        self.pending.insert(name.clone(), PendingHttp {
+                        self.pending.entry(name.clone()).or_default().push(PendingHttp {
                             reply_to: call.reply_to,
                             tag: call.tag,
                         });
@@ -377,6 +380,19 @@ mod tests {
         let (_, response) = &replies[2];
         assert_eq!(response.status, 200);
         assert!(response.body_text().contains("/ndn/k8s/data/"));
+    }
+
+    /// Two identical calls in flight share one Interest; the one reply
+    /// must answer both callers, in arrival order.
+    #[test]
+    fn duplicate_http_calls_are_all_answered() {
+        let (mut sim, _cluster, bridge, user) = world();
+        call(&mut sim, bridge, user, 1, "GET", "/data/_catalog");
+        call(&mut sim, bridge, user, 2, "GET", "/data/_catalog");
+        sim.run();
+        let replies = &sim.actor::<WebUser>(user).unwrap().replies;
+        let answered: Vec<(u64, u16)> = replies.iter().map(|(t, r)| (*t, r.status)).collect();
+        assert_eq!(answered, [(1, 200), (2, 200)]);
     }
 
     #[test]

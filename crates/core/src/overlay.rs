@@ -79,12 +79,6 @@ impl ClusterSpec {
         self.ack_freshness = ack_freshness;
         self
     }
-
-    /// Builder: byte-budget the gateway result cache (0 = no byte limit).
-    pub fn with_cache_budget(mut self, budget_bytes: u64) -> Self {
-        self.cache_budget_bytes = budget_bytes;
-        self
-    }
 }
 
 /// Overlay-wide parameters.

@@ -35,11 +35,6 @@ impl Cpu {
         }
         Some(Cpu((cores * 1000.0).round() as u64))
     }
-
-    /// Cores as a float (diagnostics).
-    pub fn as_cores_f64(self) -> f64 {
-        self.0 as f64 / 1000.0
-    }
 }
 
 impl fmt::Display for Cpu {
@@ -101,11 +96,6 @@ impl Memory {
         } else {
             Some(Memory(v.round() as u64))
         }
-    }
-
-    /// GiB as a float (diagnostics).
-    pub fn as_gib_f64(self) -> f64 {
-        self.0 as f64 / GI as f64
     }
 }
 

@@ -358,13 +358,6 @@ impl Forwarder {
         self.faces.get(&id)
     }
 
-    /// All face ids, sorted (diagnostics).
-    pub fn face_ids(&self) -> Vec<FaceId> {
-        let mut ids: Vec<FaceId> = self.faces.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Register a route.
     pub fn register_prefix(&mut self, prefix: Name, face: FaceId, cost: u32) {
         self.fib.add_nexthop(prefix, face, cost);

@@ -15,7 +15,7 @@
 use lidc_simcore::engine::{ActorId, Ctx, Sim};
 
 use crate::face::{Face, FaceId, FaceIdAlloc, FaceKind, LinkProps};
-use crate::forwarder::{AddFace, Forwarder, Rx, RxBatch};
+use crate::forwarder::{Forwarder, Rx, RxBatch};
 use crate::packet::Packet;
 
 /// Connect two forwarders with a symmetric link (pre-run, by direct state
@@ -65,55 +65,6 @@ pub fn attach_app(sim: &mut Sim, fwd: ActorId, app: ActorId, alloc: &FaceIdAlloc
     sim.actor_mut::<Forwarder>(fwd)
         .expect("fwd is a Forwarder")
         .add_face(Face::new(id, FaceKind::App { actor: app }));
-    id
-}
-
-/// Connect two forwarders at runtime (from inside a handler), e.g. when a
-/// new cluster joins the overlay. Faces are installed via [`AddFace`]
-/// messages, so they become usable at the current instant plus one event.
-pub fn connect_runtime(
-    ctx: &mut Ctx<'_>,
-    a: ActorId,
-    b: ActorId,
-    alloc: &FaceIdAlloc,
-    props: LinkProps,
-) -> (FaceId, FaceId) {
-    let fa = alloc.alloc();
-    let fb = alloc.alloc();
-    ctx.send(a, AddFace {
-        face: Face::new(
-            fa,
-            FaceKind::Link {
-                peer: b,
-                peer_face: fb,
-                props,
-            },
-        ),
-    });
-    ctx.send(b, AddFace {
-        face: Face::new(
-            fb,
-            FaceKind::Link {
-                peer: a,
-                peer_face: fa,
-                props,
-            },
-        ),
-    });
-    (fa, fb)
-}
-
-/// Attach an application at runtime. Returns the new face id.
-pub fn attach_app_runtime(
-    ctx: &mut Ctx<'_>,
-    fwd: ActorId,
-    app: ActorId,
-    alloc: &FaceIdAlloc,
-) -> FaceId {
-    let id = alloc.alloc();
-    ctx.send(fwd, AddFace {
-        face: Face::new(id, FaceKind::App { actor: app }),
-    });
     id
 }
 

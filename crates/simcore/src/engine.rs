@@ -212,11 +212,6 @@ impl Ctx<'_> {
         self.push_send(self.now + delay, to, Box::new(msg), false);
     }
 
-    /// Deliver an already-boxed message after `delay` (used when relaying).
-    pub fn send_boxed_after(&mut self, delay: SimDuration, to: ActorId, msg: Msg) {
-        self.push_send(self.now + delay, to, msg, false);
-    }
-
     /// Schedule a message to self after `delay` (a timer).
     pub fn schedule_self<M: Send + 'static>(&mut self, delay: SimDuration, msg: M) {
         self.send_after(delay, self.self_id, msg);
@@ -715,17 +710,6 @@ impl Sim {
             .get(id.0 as usize)
             .map(|s| s.drain)
             .unwrap_or_default()
-    }
-
-    /// Aggregate drain statistics over every actor.
-    pub fn drain_stats_total(&self) -> DrainStats {
-        let mut total = DrainStats::default();
-        for slot in &self.slots {
-            total.messages += slot.drain.messages;
-            total.batches += slot.drain.batches;
-            total.max_batch = total.max_batch.max(slot.drain.max_batch);
-        }
-        total
     }
 
     /// Per-actor drain stats as a report table (busiest actors first),

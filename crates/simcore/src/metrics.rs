@@ -184,11 +184,6 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// Mutable access (for percentile queries, which sort lazily).
-    pub fn histogram_mut(&mut self, name: &str) -> Option<&mut Histogram> {
-        self.histograms.get_mut(name)
-    }
-
     /// All counter names, sorted.
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
         self.counters.keys().map(String::as_str)

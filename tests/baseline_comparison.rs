@@ -1,8 +1,7 @@
 //! LIDC vs the comparators (`lidc-baseline`): the centralized controller
 //! and the manually-configured workflow, under identical conditions.
 
-use lidc::baseline::central::{CentralController, CentralPolicy};
-use lidc::baseline::client::{CentralClient, SubmitCentral};
+use lidc::baseline::central::{deploy_client, CentralController, CentralPolicy};
 use lidc::baseline::manual::ManualWorkflow;
 use lidc::prelude::*;
 
@@ -45,12 +44,12 @@ fn central_and_lidc_equivalent_when_healthy() {
         c.add_node(&mut sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
         CentralController::add_member(&mut sim, controller, name, c);
     }
-    let cclient = CentralClient::deploy(ClientConfig::default(), &mut sim, router, &alloc, "u");
+    let cclient = deploy_client(ClientConfig::default(), &mut sim, router, &alloc, "u");
     for tag in 0..4 {
-        sim.send(cclient, SubmitCentral(blast(tag)));
+        sim.send(cclient, Submit(blast(tag)));
     }
     sim.run();
-    assert_eq!(sim.actor::<CentralClient>(cclient).unwrap().successes(), 4);
+    assert_eq!(sim.actor::<ScienceClient>(cclient).unwrap().successes(), 4);
 }
 
 /// The single point of failure: kill the controller, nothing places — kill
@@ -67,13 +66,13 @@ fn controller_death_vs_cluster_death() {
         c.add_node(&mut sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
         CentralController::add_member(&mut sim, controller, name, c);
     }
-    let cclient = CentralClient::deploy(ClientConfig::default(), &mut sim, router, &alloc, "u");
+    let cclient = deploy_client(ClientConfig::default(), &mut sim, router, &alloc, "u");
     sim.kill(controller);
     for tag in 0..3 {
-        sim.send(cclient, SubmitCentral(blast(tag)));
+        sim.send(cclient, Submit(blast(tag)));
     }
     sim.run();
-    assert_eq!(sim.actor::<CentralClient>(cclient).unwrap().successes(), 0);
+    assert_eq!(sim.actor::<ScienceClient>(cclient).unwrap().successes(), 0);
 
     // LIDC: one of three clusters dies, the others absorb everything.
     let mut sim = Sim::new(4);
@@ -160,10 +159,44 @@ fn central_global_view_places_on_idle_member() {
     sim.send(busy.actor, Nudge);
     sim.run_for(SimDuration::from_secs(5));
 
-    let cclient = CentralClient::deploy(ClientConfig::default(), &mut sim, router, &alloc, "u");
-    sim.send(cclient, SubmitCentral(blast(0)));
+    let cclient = deploy_client(ClientConfig::default(), &mut sim, router, &alloc, "u");
+    sim.send(cclient, Submit(blast(0)));
     sim.run();
-    let runs = sim.actor::<CentralClient>(cclient).unwrap().runs();
+    let runs = sim.actor::<ScienceClient>(cclient).unwrap().runs();
     assert!(runs[0].is_success());
     assert_eq!(runs[0].cluster.as_deref(), Some("idle"));
+}
+
+/// The baseline runs the LIDC client's resubmission path, counter
+/// included: once the controller dies after acking a job, the status polls
+/// time out, every resubmission goes unanswered, and each one is counted
+/// in `client.resubmissions` exactly as in the LIDC world.
+#[test]
+fn baseline_resubmissions_are_counted() {
+    let mut sim = Sim::new(7);
+    let alloc = FaceIdAlloc::new();
+    let router = sim.spawn("router", Forwarder::new("router", ForwarderConfig::default()));
+    let controller = CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);
+    let c = Cluster::spawn(&mut sim, ClusterConfig::named("a"));
+    c.add_node(&mut sim, Node::new("a-n0", Resources::new(16, 64)));
+    CentralController::add_member(&mut sim, controller, "a", c);
+    let config = ClientConfig::default();
+    let cclient = deploy_client(config.clone(), &mut sim, router, &alloc, "u");
+    sim.send(cclient, Submit(blast(0)));
+    sim.run_for(SimDuration::from_secs(1));
+    let acked = sim.actor::<ScienceClient>(cclient).unwrap().runs()[0].ack_at;
+    assert!(acked.is_some(), "the controller acked before it died");
+    sim.kill(controller);
+    sim.run();
+
+    let runs = sim.actor::<ScienceClient>(cclient).unwrap().runs();
+    assert_eq!(runs.len(), 1);
+    let run = &runs[0];
+    assert_eq!(run.resubmits, config.resubmit_attempts);
+    let error = run.error.as_deref().unwrap_or_default();
+    assert!(error.starts_with("submit-"), "error = {error:?}");
+    let total: u64 = runs.iter().map(|r| u64::from(r.resubmits)).sum();
+    let counted = sim.metrics_ref().counter("client.resubmissions");
+    assert_eq!(counted, total);
+    assert!(counted > 0);
 }

@@ -6,8 +6,8 @@
 //! producer — the network-layer behaviours LIDC builds on.
 
 use lidc_ndn::app::{Consumer, ConsumerEvent, Producer, RetxTimer};
-use lidc_ndn::face::{FaceIdAlloc, LinkProps};
-use lidc_ndn::forwarder::{AppRx, Forwarder, ForwarderConfig};
+use lidc_ndn::face::{FaceId, FaceIdAlloc, LinkProps};
+use lidc_ndn::forwarder::{AppRx, Forwarder, ForwarderConfig, Rx};
 use lidc_ndn::name::Name;
 use lidc_ndn::net::{attach_app, connect};
 use lidc_ndn::packet::{Data, Interest, Packet};
@@ -616,7 +616,7 @@ fn rx_batch_ingress_matches_per_packet_ingress() {
             lidc_ndn::net::inject_burst(&mut w.sim, edge, face, packets);
         } else {
             for packet in packets {
-                w.sim.send(edge, lidc_ndn::forwarder::Rx { face, packet });
+                w.sim.send(edge, Rx { face, packet });
             }
         }
         w.sim.run();
@@ -634,4 +634,77 @@ fn rx_batch_ingress_matches_per_packet_ingress() {
     assert_eq!(run(true), run(false));
     // 8 entries satisfied on each of the two forwarders.
     assert_eq!(run(true).1, 16);
+}
+
+/// Swallows whatever the forwarder delivers to its app face.
+struct Sink;
+
+impl Actor for Sink {
+    fn on_message(&mut self, _msg: Msg, _ctx: &mut Ctx<'_>) {}
+}
+
+/// The instant at which [`struck_forwarder`]'s forged replies arrive.
+fn strike_instant() -> SimTime {
+    SimTime::ZERO + MS(1)
+}
+
+/// A forwarder whose producer face answered one pending Interest with
+/// `strikes` unsigned replies, all at [`strike_instant`]. An unverifiable
+/// Data leaves its PIT entry in place, so every copy would still have
+/// satisfied it and counts one quarantine strike against the face.
+fn struck_forwarder(strikes: u64) -> (World, ActorId, FaceId) {
+    let mut w = World::new(11);
+    let fwd = w.forwarder("edge");
+    let producer = w.sim.spawn("producer", Sink);
+    let pface = attach_app(&mut w.sim, fwd, producer, &w.alloc);
+    w.sim
+        .actor_mut::<Forwarder>(fwd)
+        .unwrap()
+        .register_prefix(name!("/lab"), pface, 0);
+    let consumer = w.sim.spawn("consumer", Sink);
+    let cface = attach_app(&mut w.sim, fwd, consumer, &w.alloc);
+    let interest = Interest::new(name!("/lab/x"))
+        .with_nonce(1)
+        .with_lifetime(SimDuration::from_secs(120));
+    w.sim.send(fwd, Rx {
+        face: cface,
+        packet: Packet::Interest(interest),
+    });
+    for _ in 0..strikes {
+        let forged = Data::new(name!("/lab/x"), &b"forged"[..]);
+        w.sim.send_after(MS(1), fwd, Rx {
+            face: pface,
+            packet: Packet::Data(forged),
+        });
+    }
+    w.sim.run();
+    let m = w.sim.metrics_ref();
+    assert_eq!(m.counter("ndn.verify_failed"), strikes);
+    assert_eq!(m.counter("ndn.quarantine_strikes"), strikes);
+    (w, fwd, pface)
+}
+
+/// The quarantine rule: a face is quarantined while its strikes, halved
+/// every 30 s, stand at or above 3. Three strikes at one instant reach
+/// the threshold exactly; two do not.
+#[test]
+fn three_verify_strikes_at_one_instant_quarantine_the_ingress_face() {
+    let (w, fwd, pface) = struck_forwarder(2);
+    let fwd = w.sim.actor::<Forwarder>(fwd).unwrap();
+    assert!(!fwd.is_quarantined(pface, strike_instant()));
+
+    let (w, fwd, pface) = struck_forwarder(3);
+    let fwd = w.sim.actor::<Forwarder>(fwd).unwrap();
+    assert!(fwd.is_quarantined(pface, strike_instant()));
+}
+
+/// Six strikes decay to exactly the threshold (3.0) one half-life later,
+/// which still quarantines, and fall below it a second after that.
+#[test]
+fn verify_strikes_halve_every_thirty_seconds() {
+    let (w, fwd, pface) = struck_forwarder(6);
+    let fwd = w.sim.actor::<Forwarder>(fwd).unwrap();
+    let at = strike_instant();
+    assert!(fwd.is_quarantined(pface, at + SimDuration::from_secs(30)));
+    assert!(!fwd.is_quarantined(pface, at + SimDuration::from_secs(31)));
 }

@@ -22,7 +22,9 @@
 //!    still completes everything, and no poisoned Data ever enters any
 //!    Content Store (see docs/INTEGRITY.md);
 //! 9. a correlated region outage takes down two clusters at once, then
-//!    heals → LIDC completes everything via the surviving region.
+//!    heals → LIDC completes everything via the surviving region;
+//! 10. a link corrupts packets in flight → damaged Data is refused at the
+//!     next verify point, and no job is lost.
 
 mod common;
 
@@ -528,4 +530,45 @@ fn region_outage_takes_down_the_region_together_and_heals() {
     );
     assert_eq!(lidc.fault_timeline, baseline.fault_timeline, "same schedule applied");
     assert!(lidc.completed >= baseline.completed);
+}
+
+/// Scenario 10: honest link corruption. On top of the standard schedule,
+/// `west`'s WAN link flips a seeded bit in a third of the packets it
+/// carries for two minutes. Damaged Data travels on until the next
+/// signature check refuses it, so the forwarders count verification
+/// failures, every job still ends (completed or failed, none stranded),
+/// no Content Store ever holds the damaged bytes (`run_lidc_chaos` scans
+/// every one after the run), and reruns are bit-identical.
+#[test]
+fn corrupting_link_is_caught_by_verification_and_loses_no_job() {
+    let mut cfg = ChaosConfig::standard(1010);
+    cfg.schedule.push(FaultEvent::transient(
+        SimDuration::from_secs(5),
+        SimDuration::from_secs(120),
+        FaultKind::PacketCorrupt {
+            link: "west".into(),
+            probability: 0.3,
+        },
+    ));
+    let lidc = lidc_across_reruns(&cfg);
+    let baseline = run_baseline_chaos(&cfg);
+    assert_golden("chaos10_packet_corrupt_1010_lidc", &lidc.fingerprint());
+    assert_golden("chaos10_packet_corrupt_1010_baseline", &baseline.fingerprint());
+    println!("{}", comparison_table(&[&lidc, &baseline]).to_markdown());
+
+    assert_eq!(lidc.submitted, cfg.jobs);
+    assert_eq!(
+        lidc.completed + lidc.failed,
+        lidc.submitted,
+        "every submitted job ended: {lidc:?}"
+    );
+    assert!(
+        lidc.verify_failed > 0,
+        "the corrupted Data was seen and refused: {lidc:?}"
+    );
+    assert!(
+        lidc.fault_timeline.contains("packet-corrupt(west p=0.3)"),
+        "{}",
+        lidc.fault_timeline
+    );
 }

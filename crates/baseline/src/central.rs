@@ -332,13 +332,12 @@ pub fn status_name(job_id: &str) -> Name {
 mod tests {
     use super::*;
     use lidc_core::client::Submit;
-    use lidc_k8s::cluster::ClusterConfig;
     use lidc_k8s::node::Node;
     use lidc_k8s::resources::Resources;
     use lidc_ndn::forwarder::{Forwarder, ForwarderConfig};
 
     fn k8s_cluster(sim: &mut Sim, name: &str) -> Cluster {
-        let c = Cluster::spawn(sim, ClusterConfig::named(name));
+        let c = Cluster::spawn(sim, name);
         c.add_node(sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
         c
     }

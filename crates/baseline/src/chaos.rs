@@ -20,8 +20,8 @@
 //! | `ClusterOutage` | WAN face to the cluster goes down | every member node goes unready |
 //! | `NodeCrash` | `SetNodeReady(false)` on the node | `SetNodeReady(false)` on the node |
 //! | `LinkDown` | both ends of the WAN link go down | *no-op* (members attach directly) |
-//! | `LinkDegrade` / `PacketCorrupt` / `SlowProducer` | [`DegradeLink`] on both ends | *no-op* |
-//! | `StaleFib` | prefix withdrawn / re-announced on the router FIB | *no-op* |
+//! | `LinkDegrade` | [`DegradeLink`] on both ends: latency × factor, loss added | *no-op* |
+//! | `PacketCorrupt` | [`DegradeLink`] on both ends: Data bit-flipped in flight, refused at the next verify point | *no-op* |
 //! | `ByzantineProducer` | the cluster's gateway mangles every reply ([`SetByzantine`]) | *no-op* |
 //! | `RegionOutage` | both ends of every member cluster's WAN link go down | every member cluster's nodes go unready |
 //!
@@ -42,14 +42,11 @@ use lidc_core::gateway::{ByzantineMode, SetByzantine};
 use lidc_core::naming::ComputeRequest;
 use lidc_core::overlay::{ClusterSpec, Overlay, OverlayConfig};
 use lidc_core::placement::PlacementPolicy;
-use lidc_k8s::cluster::{Cluster, ClusterConfig, SetNodeReady};
+use lidc_k8s::cluster::{Cluster, SetNodeReady};
 use lidc_k8s::node::Node;
 use lidc_k8s::resources::Resources;
 use lidc_ndn::face::{FaceId, FaceIdAlloc};
-use lidc_ndn::forwarder::{
-    DegradeLink, Forwarder, ForwarderConfig, RegisterPrefix, SetFaceUp, UnregisterPrefix,
-};
-use lidc_ndn::name::Name;
+use lidc_ndn::forwarder::{DegradeLink, Forwarder, ForwarderConfig, SetFaceUp};
 use lidc_simcore::engine::{ActorId, Sim};
 use lidc_simcore::faults::{
     FaultAction, FaultController, FaultEvent, FaultHook, FaultKind, FaultSchedule,
@@ -261,9 +258,6 @@ struct LidcTargets {
     k8s: BTreeMap<String, ActorId>,
     /// name → gateway application actor (the byzantine-fault target).
     gateways: BTreeMap<String, ActorId>,
-    /// name → routing cost the cluster registered with (latency in µs);
-    /// needed to re-announce a prefix when a `StaleFib` fault heals.
-    costs: BTreeMap<String, u32>,
 }
 
 fn lidc_hook(t: LidcTargets) -> FaultHook {
@@ -294,9 +288,6 @@ fn lidc_hook(t: LidcTargets) -> FaultHook {
                 latency_factor,
                 extra_loss,
             } => degrade(&t, ctx, link, inject, *latency_factor, *extra_loss, 0.0),
-            FaultKind::SlowProducer { producer, factor } => {
-                degrade(&t, ctx, producer, inject, *factor, 0.0, 0.0);
-            }
             FaultKind::PacketCorrupt { link, probability } => {
                 degrade(&t, ctx, link, inject, 1.0, 0.0, *probability);
             }
@@ -319,19 +310,6 @@ fn lidc_hook(t: LidcTargets) -> FaultHook {
                         ctx.send(t.router, SetFaceUp { face: rf, up: !inject });
                         ctx.send(gw, SetFaceUp { face: gf, up: !inject });
                     }
-                }
-            }
-            FaultKind::StaleFib { prefix, cluster } => {
-                let (Ok(prefix), Some(&(face, _, _))) =
-                    (Name::parse(prefix), t.links.get(cluster))
-                else {
-                    return;
-                };
-                if inject {
-                    ctx.send(t.router, UnregisterPrefix { prefix, face });
-                } else {
-                    let cost = t.costs.get(cluster).copied().unwrap_or(0);
-                    ctx.send(t.router, RegisterPrefix { prefix, face, cost });
                 }
             }
         }
@@ -419,17 +397,12 @@ pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut links = BTreeMap::new();
     let mut k8s = BTreeMap::new();
     let mut gateways = BTreeMap::new();
-    let mut costs = BTreeMap::new();
     for c in &overlay.clusters {
         let rf = overlay.face_of(&c.name).expect("router face");
         let gf = overlay.cluster_face_of(&c.name).expect("cluster face");
         links.insert(c.name.clone(), (rf, c.gateway_fwd, gf));
         k8s.insert(c.name.clone(), c.k8s.actor);
         gateways.insert(c.name.clone(), c.gateway_app);
-    }
-    for (name, latency) in &cfg.clusters {
-        let cost = u32::try_from(latency.as_nanos() / 1_000).unwrap_or(u32::MAX);
-        costs.insert(name.clone(), cost);
     }
     let controller = FaultController::deploy(
         &mut sim,
@@ -439,7 +412,6 @@ pub fn run_lidc_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
             links,
             k8s,
             gateways,
-            costs,
         }),
     );
     let alloc = overlay.alloc.clone();
@@ -547,7 +519,7 @@ pub fn run_baseline_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);
     let mut k8s = BTreeMap::new();
     for (name, _latency) in &cfg.clusters {
-        let c = Cluster::spawn(&mut sim, ClusterConfig::named(name));
+        let c = Cluster::spawn(&mut sim, name);
         let nodes: Vec<String> = (0..cfg.nodes_per_cluster)
             .map(|i| format!("{name}-node-{i}"))
             .collect();

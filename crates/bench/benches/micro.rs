@@ -442,7 +442,7 @@ fn bench_k8s_reconcile(c: &mut Criterion) {
             black_box(reconcile_jobs(&mut api, now))
         })
     });
-    let scheduler = Scheduler::default();
+    let scheduler = Scheduler;
     g.bench_function("schedule_pass_idle", |b| {
         b.iter(|| black_box(scheduler.schedule(&mut api, now).len()))
     });

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lidc_core::naming::{classify, ComputeRequest, RequestKind};
-use lidc_k8s::cluster::{Cluster, ClusterConfig};
+use lidc_k8s::cluster::Cluster;
 use lidc_k8s::deployment::Deployment;
 use lidc_k8s::dns::resolve;
 use lidc_k8s::node::Node;
@@ -16,7 +16,7 @@ use lidc_simcore::engine::Sim;
 
 fn cluster_with_services(n_apps: usize) -> (Sim, Cluster) {
     let mut sim = Sim::new(4_000 + n_apps as u64);
-    let k8s = Cluster::spawn(&mut sim, ClusterConfig::named("bench"));
+    let k8s = Cluster::spawn(&mut sim, "bench");
     for i in 0..((n_apps as u32 / 8) + 1) {
         k8s.add_node(&mut sim, Node::new(format!("node-{i}"), Resources::new(16, 64)));
     }

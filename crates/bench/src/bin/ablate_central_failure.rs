@@ -18,7 +18,7 @@ use lidc_baseline::central::{deploy_client, CentralController, CentralPolicy};
 use lidc_core::client::{ClientConfig, ScienceClient, Submit};
 use lidc_core::overlay::{ClusterSpec, Overlay, OverlayConfig};
 use lidc_core::placement::PlacementPolicy;
-use lidc_k8s::cluster::{Cluster, ClusterConfig};
+use lidc_k8s::cluster::Cluster;
 use lidc_k8s::node::Node;
 use lidc_k8s::resources::Resources;
 use lidc_ndn::face::FaceIdAlloc;
@@ -55,7 +55,7 @@ fn main() {
         let controller =
             CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);
         for name in ["a", "b", "c"] {
-            let c = Cluster::spawn(&mut sim, ClusterConfig::named(name));
+            let c = Cluster::spawn(&mut sim, name);
             c.add_node(&mut sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
             CentralController::add_member(&mut sim, controller, name, c);
         }

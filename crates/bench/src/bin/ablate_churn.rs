@@ -21,7 +21,7 @@ use lidc_core::client::{ClientConfig, ScienceClient, Submit};
 use lidc_core::cluster::{LidcCluster, LidcClusterConfig};
 use lidc_core::overlay::{ClusterSpec, Overlay, OverlayConfig};
 use lidc_core::placement::PlacementPolicy;
-use lidc_k8s::cluster::{Cluster, ClusterConfig};
+use lidc_k8s::cluster::Cluster;
 use lidc_k8s::node::Node;
 use lidc_k8s::resources::Resources;
 use lidc_ndn::face::FaceIdAlloc;
@@ -82,7 +82,7 @@ fn run_central() -> (usize, usize, u32) {
     let controller = CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);
     let mut members = Vec::new();
     for name in ["a", "b", "c"] {
-        let c = Cluster::spawn(&mut sim, ClusterConfig::named(name));
+        let c = Cluster::spawn(&mut sim, name);
         c.add_node(&mut sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
         CentralController::add_member(&mut sim, controller, name, c.clone());
         members.push(c);

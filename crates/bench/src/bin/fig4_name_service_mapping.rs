@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use lidc_bench::finish;
 use lidc_core::naming::{classify, ComputeRequest, RequestKind};
-use lidc_k8s::cluster::{Cluster, ClusterConfig};
+use lidc_k8s::cluster::Cluster;
 use lidc_k8s::deployment::Deployment;
 use lidc_k8s::dns::resolve;
 use lidc_k8s::node::Node;
@@ -30,7 +30,7 @@ const NAMES_PER_ROUND: usize = 10_000;
 /// Deploy a cluster exposing `n_apps` named services, each backed by one
 /// running pod.
 fn cluster_with_services(sim: &mut Sim, n_apps: usize) -> Cluster {
-    let k8s = Cluster::spawn(sim, ClusterConfig::named("svc-cluster"));
+    let k8s = Cluster::spawn(sim, "svc-cluster");
     for i in 0..((n_apps as u32 / 8) + 1) {
         k8s.add_node(
             sim,

@@ -21,7 +21,7 @@ use lidc_datalake::loader::DataLoader;
 use lidc_datalake::repo::{NfsRepo, SharedRepo};
 use lidc_genomics::blast::{HUMAN_REFERENCE, HUMAN_REFERENCE_BYTES};
 use lidc_genomics::sra::{kidney_series, paper_runs, rice_series};
-use lidc_k8s::cluster::{Cluster, ClusterConfig};
+use lidc_k8s::cluster::Cluster;
 use lidc_k8s::deployment::Deployment;
 use lidc_k8s::node::Node;
 use lidc_k8s::pod::{ContainerSpec, PodSpec, WorkloadSpec};
@@ -63,9 +63,10 @@ pub struct LidcClusterConfig {
     pub ack_freshness: SimDuration,
     /// Whether to run the data-loading tool at deploy time (paper §V-B).
     pub load_datasets: bool,
-    /// Gateway-NFD ↔ data-lake-NFD link latency.
-    pub internal_latency: SimDuration,
 }
+
+/// Gateway-NFD ↔ data-lake-NFD link latency.
+const INTERNAL_LATENCY: SimDuration = SimDuration::from_micros(200);
 
 impl Default for LidcClusterConfig {
     fn default() -> Self {
@@ -79,7 +80,6 @@ impl Default for LidcClusterConfig {
             cs_budget_bytes: ForwarderConfig::default().cs_budget_bytes,
             ack_freshness: SimDuration::ZERO,
             load_datasets: true,
-            internal_latency: SimDuration::from_micros(200),
         }
     }
 }
@@ -121,7 +121,7 @@ impl LidcCluster {
     pub fn deploy(sim: &mut Sim, alloc: &FaceIdAlloc, config: LidcClusterConfig) -> LidcCluster {
         let name = config.name.clone();
         // --- Kubernetes cluster and nodes ---
-        let k8s = Cluster::spawn(sim, ClusterConfig::named(&name));
+        let k8s = Cluster::spawn(sim, &name);
         for i in 0..config.nodes.max(1) {
             k8s.add_node(
                 sim,
@@ -177,7 +177,7 @@ impl LidcCluster {
             gateway_fwd,
             dl_fwd,
             alloc,
-            LinkProps::with_latency(config.internal_latency),
+            LinkProps::with_latency(INTERNAL_LATENCY),
         );
         // --- Data-lake file server on the dl NFD ---
         let fileserver = FileServer::new(data_prefix(), repo.clone()).deploy(

@@ -77,6 +77,9 @@ use crate::validation::ValidatorRegistry;
 // lidc-lint: allow(actor-isolation) reason="read-mostly model shared between the gateway (writer) and the placement strategy (reader) within one virtual instant, never held across engine events"
 pub type SharedPredictor = Arc<RwLock<RuntimePredictor>>;
 
+/// Freshness of status responses.
+const STATUS_FRESHNESS: SimDuration = SimDuration::from_millis(100);
+
 /// Gateway tuning knobs.
 pub struct GatewayConfig {
     /// Cluster name (prefixed onto job ids).
@@ -92,8 +95,6 @@ pub struct GatewayConfig {
     /// freshness lets the NDN Content Store answer identical requests (the
     /// network half of the caching ablation).
     pub ack_freshness: SimDuration,
-    /// Freshness of status responses.
-    pub status_freshness: SimDuration,
     /// Validators.
     pub validators: ValidatorRegistry,
     /// Cost model used for planning.
@@ -107,7 +108,6 @@ impl Default for GatewayConfig {
             result_cache_capacity: 0,
             result_cache_budget_bytes: 0,
             ack_freshness: SimDuration::ZERO,
-            status_freshness: SimDuration::from_millis(100),
             validators: ValidatorRegistry::standard(),
             model: CostModel::paper_calibrated(),
         }
@@ -605,7 +605,7 @@ impl Gateway {
                         }
                     };
                     let data = Data::new(probe.interest.name, state.to_text().into_bytes())
-                        .with_freshness(self.config.status_freshness)
+                        .with_freshness(STATUS_FRESHNESS)
                         .sign_digest();
                     self.reply(ctx, data);
                 }
@@ -793,7 +793,7 @@ impl Actor for Gateway {
     /// Batched delivery (see the module docs): classify the burst in one
     /// pass, accumulating maximal *runs* of same-kind requests and flushing
     /// each run through its amortized batch path when the kind changes (or
-    /// a [`CheckJob`] timer — which publishes results — interleaves).
+    /// a `CheckJob` timer — which publishes results — interleaves).
     /// Run segmentation keeps every side effect in arrival order, so a
     /// status query observing a just-published result, or a compute request
     /// hitting the result cache a same-instant status populated, behaves

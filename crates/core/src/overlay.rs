@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use lidc_ndn::face::{FaceId, FaceIdAlloc, LinkProps};
-use lidc_ndn::forwarder::{DegradeLink, Forwarder, ForwarderConfig, SetFaceUp};
+use lidc_ndn::forwarder::{Forwarder, ForwarderConfig, SetFaceUp};
 use lidc_simcore::engine::{ActorId, Sim};
 use lidc_simcore::time::SimDuration;
 
@@ -88,8 +88,6 @@ pub struct OverlayConfig {
     pub placement: PlacementPolicy,
     /// Member clusters.
     pub clusters: Vec<ClusterSpec>,
-    /// Load-advertisement period.
-    pub load_report_interval: SimDuration,
     /// Whether clusters load the genomics datasets at deploy time.
     pub load_datasets: bool,
     /// Access-router Content Store capacity (0 disables network caching).
@@ -108,13 +106,15 @@ impl Default for OverlayConfig {
         OverlayConfig {
             placement: PlacementPolicy::Nearest,
             clusters: Vec::new(),
-            load_report_interval: SimDuration::from_secs(5),
             load_datasets: true,
             router_cs_capacity: 4096,
             router_cs_budget_bytes: lidc_ndn::tables::cs::default_budget_bytes(4096),
         }
     }
 }
+
+/// Load-advertisement period of every member's load reporter.
+const LOAD_REPORT_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// A deployed overlay.
 pub struct Overlay {
@@ -217,7 +217,7 @@ impl Overlay {
             cluster.k8s.api.clone(),
             self.board.clone(),
             router_face,
-            self.config.load_report_interval,
+            LOAD_REPORT_INTERVAL,
         );
         self.faces.insert(spec.name.clone(), router_face);
         self.cluster_faces.insert(spec.name.clone(), cluster_face);
@@ -233,36 +233,6 @@ impl Overlay {
     /// The cluster-side face of a member's WAN link (on its gateway NFD).
     pub fn cluster_face_of(&self, cluster: &str) -> Option<FaceId> {
         self.cluster_faces.get(cluster).copied()
-    }
-
-    /// Degrade a member's WAN link in both directions: latency multiplied
-    /// by `latency_factor`, `extra_loss` added to the base loss, and a
-    /// per-packet corruption probability. Use [`Overlay::heal_link`] to
-    /// restore the healthy link.
-    pub fn degrade_link(
-        &self,
-        sim: &mut Sim,
-        name: &str,
-        latency_factor: f64,
-        extra_loss: f64,
-        corrupt: f64,
-    ) {
-        let Some(cluster) = self.cluster(name) else {
-            return;
-        };
-        let gateway_fwd = cluster.gateway_fwd;
-        if let Some(face) = self.face_of(name) {
-            sim.send(self.router, DegradeLink { face, latency_factor, extra_loss, corrupt });
-        }
-        if let Some(face) = self.cluster_face_of(name) {
-            sim.send(gateway_fwd, DegradeLink { face, latency_factor, extra_loss, corrupt });
-        }
-    }
-
-    /// Undo [`Overlay::degrade_link`] on both directions of a member's WAN
-    /// link.
-    pub fn heal_link(&self, sim: &mut Sim, name: &str) {
-        self.degrade_link(sim, name, 1.0, 0.0, 0.0);
     }
 
     /// Find a member by name.

@@ -107,10 +107,6 @@ impl LeastLoadedStrategy {
 }
 
 impl Strategy for LeastLoadedStrategy {
-    fn strategy_name(&self) -> &'static str {
-        "least-loaded"
-    }
-
     fn select(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<FaceId> {
         ctx.nexthops
             .iter()
@@ -165,10 +161,6 @@ impl LearnedStrategy {
 }
 
 impl Strategy for LearnedStrategy {
-    fn strategy_name(&self) -> &'static str {
-        "learned"
-    }
-
     fn select(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<FaceId> {
         let name = ctx.interest.name.clone();
         ctx.nexthops
@@ -386,8 +378,9 @@ mod tests {
             PlacementPolicy::LeastLoaded,
             PlacementPolicy::Learned,
         ] {
-            let s = strategy_for(policy, &board, &predictor);
-            assert!(!s.strategy_name().is_empty());
+            let mut s = strategy_for(policy, &board, &predictor);
+            let sel = run_select(&mut *s, &hops(&[7]), "/ndn/k8s/compute/mem=1&cpu=1&app=X");
+            assert_eq!(sel, vec![f(7)], "{policy:?} forwards over the only next hop");
         }
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! A [`Cluster`] bundles the shared API server with a [`ClusterActor`] that
 //! runs the control loops (PVC binder, HPA, Deployment, ReplicaSet, Job,
-//! scheduler, endpoints) whenever nudged, after a configurable control-loop
-//! latency — the simulated equivalent of controller watch/resync delay.
-//! Pod execution is driven by virtual-time timers: a scheduled pod starts
-//! after `pod_start_latency` (image pull + container start) and finishes
-//! according to its [`crate::pod::WorkloadSpec`] timer.
+//! scheduler, endpoints) whenever nudged, 5 ms later — the simulated
+//! equivalent of controller watch/resync delay. Pod execution is driven by
+//! virtual-time timers: a scheduled pod starts 500 ms after binding (image
+//! pull + container start) and finishes according to its
+//! [`crate::pod::WorkloadSpec`] timer.
 
 use std::collections::HashSet;
 
@@ -19,7 +19,7 @@ use crate::job::{Job, JobCondition};
 use crate::meta::{ObjectKey, ObjectMeta, Uid};
 use crate::node::Node;
 use crate::pod::{Pod, PodPhase, PodSpec, WorkloadSpec};
-use crate::scheduler::{Scheduler, ScorePolicy};
+use crate::scheduler::Scheduler;
 use crate::service::Service;
 use crate::storage::{PersistentVolume, PersistentVolumeClaim, PvcPhase};
 
@@ -75,45 +75,15 @@ struct PodFinish {
     output: Option<(String, u64)>,
 }
 
-/// Cluster tuning knobs.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Cluster name.
-    pub name: String,
-    /// Delay between a state change and the controllers observing it.
-    pub control_loop_latency: SimDuration,
-    /// Image-pull + container-start latency for scheduled pods.
-    pub pod_start_latency: SimDuration,
-    /// Scheduler scoring policy.
-    pub scheduler_policy: ScorePolicy,
-}
+/// Delay between a state change and the controllers observing it.
+const CONTROL_LOOP_LATENCY: SimDuration = SimDuration::from_millis(5);
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            name: "cluster".to_owned(),
-            control_loop_latency: SimDuration::from_millis(5),
-            pod_start_latency: SimDuration::from_millis(500),
-            scheduler_policy: ScorePolicy::LeastAllocated,
-        }
-    }
-}
-
-impl ClusterConfig {
-    /// Config with a custom name and defaults elsewhere.
-    pub fn named(name: impl Into<String>) -> Self {
-        ClusterConfig {
-            name: name.into(),
-            ..Default::default()
-        }
-    }
-}
+/// Image-pull + container-start latency for scheduled pods.
+const POD_START_LATENCY: SimDuration = SimDuration::from_millis(500);
 
 /// The control-plane actor.
 pub struct ClusterActor {
     api: SharedApi,
-    config: ClusterConfig,
-    scheduler: Scheduler,
     reconcile_pending: bool,
     /// Pods whose start timer is armed or that already started.
     started: HashSet<Uid>,
@@ -123,12 +93,9 @@ pub struct ClusterActor {
 
 impl ClusterActor {
     /// Build the actor around a shared API server.
-    pub fn new(api: SharedApi, config: ClusterConfig) -> Self {
-        let scheduler = Scheduler::new(config.scheduler_policy);
+    pub fn new(api: SharedApi) -> Self {
         ClusterActor {
             api,
-            config,
-            scheduler,
             reconcile_pending: false,
             started: HashSet::new(),
             finishing: HashSet::new(),
@@ -138,13 +105,13 @@ impl ClusterActor {
     fn request_reconcile(&mut self, ctx: &mut Ctx<'_>) {
         if !self.reconcile_pending {
             self.reconcile_pending = true;
-            ctx.schedule_self(self.config.control_loop_latency, Reconcile);
+            ctx.schedule_self(CONTROL_LOOP_LATENCY, Reconcile);
         }
     }
 
     fn reconcile(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        let mut to_start: Vec<(Uid, SimDuration)> = Vec::new();
+        let mut to_start: Vec<Uid> = Vec::new();
         {
             let api = &mut *self.api.write();
             let _ = api.take_dirty();
@@ -157,7 +124,7 @@ impl ClusterActor {
                 changed |= reconcile_deployments(api, now);
                 changed |= reconcile_replicasets(api, now);
                 changed |= reconcile_jobs(api, now);
-                changed |= !self.scheduler.schedule(api, now).is_empty();
+                changed |= !Scheduler.schedule(api, now).is_empty();
                 changed |= reconcile_endpoints(api);
                 if !changed {
                     break;
@@ -170,13 +137,13 @@ impl ClusterActor {
                     && pod.status.node.is_some()
                     && !self.started.contains(&pod.meta.uid)
                 {
-                    to_start.push((pod.meta.uid, self.config.pod_start_latency));
+                    to_start.push(pod.meta.uid);
                 }
             }
         }
-        for (uid, delay) in to_start {
+        for uid in to_start {
             self.started.insert(uid);
-            ctx.schedule_self(delay, PodStart { uid });
+            ctx.schedule_self(POD_START_LATENCY, PodStart { uid });
         }
     }
 
@@ -709,14 +676,11 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Spawn a cluster into the simulation.
-    pub fn spawn(sim: &mut Sim, config: ClusterConfig) -> Cluster {
-        let name = config.name.clone();
+    /// Spawn a cluster named `name` into the simulation.
+    pub fn spawn(sim: &mut Sim, name: impl Into<String>) -> Cluster {
+        let name = name.into();
         let api = ApiServer::shared(&name);
-        let actor = sim.spawn(
-            format!("k8s-{name}"),
-            ClusterActor::new(api.clone(), config),
-        );
+        let actor = sim.spawn(format!("k8s-{name}"), ClusterActor::new(api.clone()));
         Cluster { actor, api, name }
     }
 
@@ -812,7 +776,7 @@ mod tests {
     }
 
     fn cluster_with_node(sim: &mut Sim, cores: u64, gib: u64) -> Cluster {
-        let cluster = Cluster::spawn(sim, ClusterConfig::named("test"));
+        let cluster = Cluster::spawn(sim, "test");
         cluster.add_node(sim, Node::new("node-1", Resources::new(cores, gib)));
         cluster
     }
@@ -1050,7 +1014,7 @@ mod tests {
     #[test]
     fn node_failure_evicts_and_job_recovers_on_survivor() {
         let mut sim = Sim::new(11);
-        let cluster = Cluster::spawn(&mut sim, ClusterConfig::named("test"));
+        let cluster = Cluster::spawn(&mut sim, "test");
         cluster.add_node(&mut sim, Node::new("node-1", Resources::new(8, 16)));
         cluster.add_node(&mut sim, Node::new("node-2", Resources::new(8, 16)));
         let key = cluster.create_job(&mut sim, "blast-1", blast_template(8, 941), 3);

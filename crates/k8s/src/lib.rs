@@ -23,7 +23,7 @@
 //! use lidc_simcore::prelude::*;
 //!
 //! let mut sim = Sim::new(0);
-//! let cluster = Cluster::spawn(&mut sim, ClusterConfig::named("demo"));
+//! let cluster = Cluster::spawn(&mut sim, "demo");
 //! cluster.add_node(&mut sim, Node::new("n1", Resources::new(8, 16)));
 //! let spec = PodSpec::single(ContainerSpec {
 //!     name: "work".into(),
@@ -55,9 +55,7 @@ pub mod storage;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::apiserver::{ApiServer, ClusterEvent, SharedApi};
-    pub use crate::cluster::{
-        Cluster, ClusterActor, ClusterConfig, CordonNode, Nudge, SetHpaLoad, SetNodeReady,
-    };
+    pub use crate::cluster::{Cluster, ClusterActor, CordonNode, Nudge, SetHpaLoad, SetNodeReady};
     pub use crate::deployment::{Deployment, Hpa, ReplicaSet};
     pub use crate::dns::{parse_service_dns, resolve};
     pub use crate::job::{Job, JobCondition, JobStatus};
@@ -65,7 +63,7 @@ pub mod prelude {
     pub use crate::node::Node;
     pub use crate::pod::{ContainerSpec, Pod, PodPhase, PodSpec, WorkloadSpec};
     pub use crate::resources::{Cpu, Memory, Resources};
-    pub use crate::scheduler::{Scheduler, ScorePolicy};
+    pub use crate::scheduler::Scheduler;
     pub use crate::service::{Service, ServicePort, ServiceSpec, ServiceType};
     pub use crate::storage::{NfsExport, PersistentVolume, PersistentVolumeClaim, PvcPhase};
 }

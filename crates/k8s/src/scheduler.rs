@@ -2,39 +2,19 @@
 //!
 //! Mirrors kube-scheduler's two-phase design. Filtering removes nodes that
 //! are not ready, violate an explicit `node_name` constraint, or lack free
-//! resources for the pod's requests. Scoring ranks the survivors by the
-//! configured policy. Binding writes `status.node`.
+//! resources for the pod's requests. Scoring prefers the least-allocated
+//! survivor, which spreads load. Binding writes `status.node`.
 
 use crate::apiserver::ApiServer;
 use crate::meta::ObjectKey;
 use crate::resources::Resources;
 use lidc_simcore::time::SimTime;
 
-/// Node-scoring policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScorePolicy {
-    /// Prefer the emptiest node (spreads load; kube-scheduler default-ish).
-    #[default]
-    LeastAllocated,
-    /// Prefer the fullest node that still fits (bin packing).
-    MostAllocated,
-    /// Prefer the node whose cpu/memory utilisation stays most balanced.
-    Balanced,
-}
-
 /// The scheduler.
 #[derive(Debug, Default, Clone)]
-pub struct Scheduler {
-    /// Scoring policy.
-    pub policy: ScorePolicy,
-}
+pub struct Scheduler;
 
 impl Scheduler {
-    /// A scheduler with the given policy.
-    pub fn new(policy: ScorePolicy) -> Self {
-        Scheduler { policy }
-    }
-
     /// Bind every schedulable pending pod. Returns the bound pod keys.
     ///
     /// Per-node usage comes from the API server's **persistent** usage
@@ -102,29 +82,13 @@ impl Scheduler {
         best.map(|(_, name)| name.to_owned())
     }
 
-    /// Higher is better.
+    /// Least-allocated score: one minus the node's dominant utilisation
+    /// after placing `requests`. Higher is better.
     fn score(&self, api: &ApiServer, node: &str, requests: &Resources) -> f64 {
         // lidc-lint: allow(panic-path) reason="score is only called with node names drawn from api.nodes iteration in schedule()"
         let allocatable = api.nodes[node].allocatable;
         let used_after = api.node_usage(node) + *requests;
-        let util = used_after.dominant_utilisation(&allocatable);
-        match self.policy {
-            ScorePolicy::LeastAllocated => 1.0 - util,
-            ScorePolicy::MostAllocated => util,
-            ScorePolicy::Balanced => {
-                let cpu = if allocatable.cpu.0 == 0 {
-                    0.0
-                } else {
-                    used_after.cpu.0 as f64 / allocatable.cpu.0 as f64
-                };
-                let mem = if allocatable.memory.0 == 0 {
-                    0.0
-                } else {
-                    used_after.memory.0 as f64 / allocatable.memory.0 as f64
-                };
-                1.0 - (cpu - mem).abs()
-            }
-        }
+        1.0 - used_after.dominant_utilisation(&allocatable)
     }
 }
 
@@ -162,7 +126,7 @@ mod tests {
     fn binds_to_fitting_node_only() {
         let mut api = api_with_nodes(&[("small", 1, 1), ("big", 8, 16)]);
         api.create_pod(make_pod("p", 4, 8), T0).unwrap();
-        let bound = Scheduler::default().schedule(&mut api, T0);
+        let bound = Scheduler.schedule(&mut api, T0);
         assert_eq!(bound.len(), 1);
         let pod = &api.pods[&bound[0]];
         assert_eq!(pod.status.node.as_deref(), Some("big"));
@@ -173,7 +137,7 @@ mod tests {
     fn unschedulable_pod_stays_pending() {
         let mut api = api_with_nodes(&[("n", 2, 2)]);
         api.create_pod(make_pod("too-big", 4, 4), T0).unwrap();
-        let bound = Scheduler::default().schedule(&mut api, T0);
+        let bound = Scheduler.schedule(&mut api, T0);
         assert!(bound.is_empty());
         let pod = api.pods.values().next().unwrap();
         assert_eq!(pod.status.phase, PodPhase::Pending);
@@ -187,7 +151,7 @@ mod tests {
             api.create_pod(make_pod(&format!("p{i}"), 2, 4), T0).unwrap();
         }
         // Mark bound pods running so they hold resources.
-        let scheduler = Scheduler::default();
+        let scheduler = Scheduler;
         let bound = scheduler.schedule(&mut api, T0);
         assert_eq!(bound.len(), 4, "2 fit per node");
         for key in &bound {
@@ -216,7 +180,7 @@ mod tests {
         let mut p = make_pod("pinned", 1, 1);
         p.spec.node_name = Some("b".into());
         api.create_pod(p, T0).unwrap();
-        let bound = Scheduler::default().schedule(&mut api, T0);
+        let bound = Scheduler.schedule(&mut api, T0);
         assert_eq!(api.pods[&bound[0]].status.node.as_deref(), Some("b"));
     }
 
@@ -225,7 +189,7 @@ mod tests {
         let mut api = api_with_nodes(&[("a", 8, 8)]);
         api.nodes.get_mut("a").unwrap().ready = false;
         api.create_pod(make_pod("p", 1, 1), T0).unwrap();
-        assert!(Scheduler::default().schedule(&mut api, T0).is_empty());
+        assert!(Scheduler.schedule(&mut api, T0).is_empty());
     }
 
     #[test]
@@ -235,14 +199,14 @@ mod tests {
         // the pod to "b"; cordoning both must leave the pod pending.
         api.set_node_cordoned("a", true);
         api.create_pod(make_pod("p1", 1, 1), T0).unwrap();
-        let bound = Scheduler::default().schedule(&mut api, T0);
+        let bound = Scheduler.schedule(&mut api, T0);
         assert_eq!(api.pods[&bound[0]].status.node.as_deref(), Some("b"));
         api.set_node_cordoned("b", true);
         api.create_pod(make_pod("p2", 1, 1), T0).unwrap();
-        assert!(Scheduler::default().schedule(&mut api, T0).is_empty());
+        assert!(Scheduler.schedule(&mut api, T0).is_empty());
         api.debug_check_pod_indexes().unwrap();
         api.set_node_cordoned("a", false);
-        let bound = Scheduler::default().schedule(&mut api, T0);
+        let bound = Scheduler.schedule(&mut api, T0);
         assert_eq!(api.pods[&bound[0]].status.node.as_deref(), Some("a"));
     }
 
@@ -251,8 +215,7 @@ mod tests {
         let mut api = api_with_nodes(&[("a", 8, 8), ("b", 8, 8)]);
         api.create_pod(make_pod("p1", 2, 2), T0).unwrap();
         api.create_pod(make_pod("p2", 2, 2), T0).unwrap();
-        let s = Scheduler::new(ScorePolicy::LeastAllocated);
-        let bound = s.schedule(&mut api, T0);
+        let bound = Scheduler.schedule(&mut api, T0);
         for key in &bound {
             let uid = api.pods[key].meta.uid;
             api.set_pod_phase(uid, PodPhase::Running);
@@ -265,24 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn most_allocated_packs() {
-        let mut api = api_with_nodes(&[("a", 8, 8), ("b", 8, 8)]);
-        // Pre-load node a a bit.
-        let mut warm = make_pod("warm", 2, 2);
-        warm.status.node = Some("a".into());
-        warm.status.phase = PodPhase::Running;
-        api.create_pod(warm, T0).unwrap();
-        api.create_pod(make_pod("p1", 2, 2), T0).unwrap();
-        let s = Scheduler::new(ScorePolicy::MostAllocated);
-        let bound = s.schedule(&mut api, T0);
-        assert_eq!(api.pods[&bound[0]].status.node.as_deref(), Some("a"), "packs onto warmer node");
-    }
-
-    #[test]
     fn deterministic_tie_break_by_name() {
         let mut api = api_with_nodes(&[("zeta", 4, 4), ("alpha", 4, 4)]);
         api.create_pod(make_pod("p", 1, 1), T0).unwrap();
-        let bound = Scheduler::default().schedule(&mut api, T0);
+        let bound = Scheduler.schedule(&mut api, T0);
         assert_eq!(api.pods[&bound[0]].status.node.as_deref(), Some("alpha"));
     }
 
@@ -292,7 +241,7 @@ mod tests {
         let mut rng = DetRng::new(0x5EED);
         for trial in 0..30 {
             let mut api = api_with_nodes(&[("a", 6, 12), ("b", 4, 8), ("c", 2, 4)]);
-            let s = Scheduler::default();
+            let s = Scheduler;
             for i in 0..40 {
                 let cores = rng.next_below(4) + 1;
                 let gib = rng.next_below(6) + 1;

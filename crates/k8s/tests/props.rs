@@ -7,7 +7,7 @@ use lidc_k8s::meta::ObjectMeta;
 use lidc_k8s::node::Node;
 use lidc_k8s::pod::{ContainerSpec, Pod, PodSpec, WorkloadSpec};
 use lidc_k8s::resources::{Cpu, Memory, Resources};
-use lidc_k8s::scheduler::{Scheduler, ScorePolicy};
+use lidc_k8s::scheduler::Scheduler;
 use lidc_k8s::service::Service;
 use lidc_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -85,7 +85,6 @@ proptest! {
     /// allocatable resources, and every binding satisfies the filter.
     #[test]
     fn scheduler_never_overcommits_any_node(
-        policy in prop_oneof![Just(ScorePolicy::LeastAllocated), Just(ScorePolicy::MostAllocated), Just(ScorePolicy::Balanced)],
         nodes in proptest::collection::vec((1u64..16, 1u64..64), 1..5),
         pods in proptest::collection::vec((100u64..8_000, 128u64..16_384), 0..40),
     ) {
@@ -97,7 +96,7 @@ proptest! {
         for (i, (cpu_m, mem_mib)) in pods.iter().enumerate() {
             api.create_pod(pod(i, *cpu_m, *mem_mib), now).unwrap();
         }
-        let scheduler = Scheduler::new(policy);
+        let scheduler = Scheduler;
         let bound = scheduler.schedule(&mut api, now);
         // Invariant: per-node usage within allocatable.
         let names: Vec<String> = api.nodes.keys().cloned().collect();

@@ -86,12 +86,10 @@ pub struct LinkProps {
     /// Runtime degradation: loss probability *added* to `loss` (0.0 =
     /// healthy). Applied by [`LinkProps::effective_loss`].
     pub extra_loss: f64,
-    /// Runtime degradation: per-packet corruption probability. What happens
-    /// to a corrupted packet is the forwarder's
-    /// [`CorruptionMode`](crate::forwarder::CorruptionMode): the default
-    /// bit-flips Data in flight and lets signature verification catch the
-    /// damage downstream; the legacy mode drops the packet *at the link*
-    /// (an idealization that assumes a perfect checksum at every hop).
+    /// Runtime degradation: per-packet corruption probability. The
+    /// forwarder flips one seeded bit of a corrupted Data in flight and
+    /// lets signature verification catch the damage downstream; a
+    /// corrupted Interest or Nack is dropped at the link.
     pub corrupt: f64,
 }
 

@@ -66,20 +66,6 @@ pub struct AppRx {
     pub packet: Packet,
 }
 
-/// Runtime face addition (topology churn).
-#[derive(Debug)]
-pub struct AddFace {
-    /// Fully-specified face (id allocated by the caller).
-    pub face: Face,
-}
-
-/// Runtime face removal; routes through the face are dropped.
-#[derive(Debug)]
-pub struct RemoveFace {
-    /// The face to destroy.
-    pub face: FaceId,
-}
-
 /// Administrative up/down.
 #[derive(Debug)]
 pub struct SetFaceUp {
@@ -101,62 +87,13 @@ pub struct DegradeLink {
     pub latency_factor: f64,
     /// Loss probability added to the link's base loss.
     pub extra_loss: f64,
-    /// Per-packet corruption probability. What a corrupted packet turns
-    /// into is the sender's [`CorruptionMode`].
-    pub corrupt: f64,
-}
-
-/// What the link model does to a packet its corruption draw selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CorruptionMode {
-    /// Honest corruption: flip one seeded bit of a Data packet (content or
-    /// signature bytes) and transmit the damaged packet — the error travels
-    /// downstream until signature verification catches it at the next
-    /// verify point (`ndn.link_corrupt_flips`). Interests and Nacks carry
-    /// no signature for a verifier to check, so they are still dropped at
-    /// the link (`ndn.link_corrupt_drops`), as is the rare Data with no
+    /// Per-packet corruption probability. A corrupted Data has one seeded
+    /// bit flipped and travels on until signature verification catches it
+    /// (`ndn.link_corrupt_flips`); a corrupted Interest or Nack, which
+    /// carries no signature for a verifier to check, is dropped at the
+    /// link (`ndn.link_corrupt_drops`), as is the rare Data with no
     /// flippable bytes.
-    #[default]
-    BitFlip,
-    /// Legacy idealization: the corrupted packet is dropped *at the link*,
-    /// before it ever reaches the peer (`ndn.link_corrupt_drops`) — as if
-    /// every hop ran a perfect checksum. Kept behind this flag for
-    /// scenarios pinned to the PR-6 corruption semantics.
-    Drop,
-}
-
-/// Register a route (RIB entry flattened straight into the FIB).
-#[derive(Debug)]
-pub struct RegisterPrefix {
-    /// Name prefix.
-    pub prefix: Name,
-    /// Next-hop face.
-    pub face: FaceId,
-    /// Routing cost.
-    pub cost: u32,
-}
-
-/// Remove a route.
-#[derive(Debug)]
-pub struct UnregisterPrefix {
-    /// Name prefix.
-    pub prefix: Name,
-    /// Next-hop face.
-    pub face: FaceId,
-}
-
-/// Install a strategy for a prefix (longest-prefix-match choice).
-pub struct SetStrategy {
-    /// Prefix the strategy governs.
-    pub prefix: Name,
-    /// The strategy instance.
-    pub strategy: Box<dyn Strategy>,
-}
-
-impl std::fmt::Debug for SetStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SetStrategy({} -> {})", self.prefix, self.strategy.strategy_name())
-    }
+    pub corrupt: f64,
 }
 
 /// Internal PIT-expiry timer.
@@ -180,31 +117,11 @@ pub struct ForwarderConfig {
     /// [`crate::tables::cs::CsConfig`] for the segment-aware admission
     /// policy the budget enables.
     pub cs_budget_bytes: u64,
-    /// Dead nonce list capacity.
-    pub dnl_capacity: usize,
     /// Delivery latency to application faces. Real NFD apps sit behind a
     /// unix/TCP socket (the paper's NodePort exposure), so the hop is small
     /// but never zero; a nonzero default also keeps request/response
     /// timestamps strictly ordered in single-cluster worlds.
     pub app_face_latency: lidc_simcore::time::SimDuration,
-    /// Verify every Data's signature before it can satisfy PIT entries or
-    /// enter the Content Store (the cache-poisoning defense; see
-    /// docs/INTEGRITY.md). An unverifiable Data counts `ndn.verify_failed`,
-    /// leaves the PIT untouched (retransmissions and alternate upstreams
-    /// keep working), and — when it would have been cached — counts
-    /// `ndn.cs_poison_rejected` and records a quarantine strike against the
-    /// ingress face. Default on; turn off only for benches isolating
-    /// non-crypto forwarding cost.
-    pub verify_data: bool,
-    /// What the link corruption model does to a packet it damages.
-    pub corruption: CorruptionMode,
-    /// Decayed verification-failure strike count at which an ingress face
-    /// is quarantined: while at or above this, the face is skipped as a
-    /// next hop whenever an alternate exists (`ndn.quarantine_skips`).
-    pub quarantine_threshold: f64,
-    /// Half-life of the decaying strike counter: a face that stops failing
-    /// verification re-earns trust on this timescale.
-    pub quarantine_halflife: lidc_simcore::time::SimDuration,
 }
 
 impl Default for ForwarderConfig {
@@ -212,12 +129,7 @@ impl Default for ForwarderConfig {
         ForwarderConfig {
             cs_capacity: 4096,
             cs_budget_bytes: crate::tables::cs::default_budget_bytes(4096),
-            dnl_capacity: 8192,
             app_face_latency: lidc_simcore::time::SimDuration::from_micros(50),
-            verify_data: true,
-            corruption: CorruptionMode::BitFlip,
-            quarantine_threshold: 3.0,
-            quarantine_halflife: lidc_simcore::time::SimDuration::from_secs(30),
         }
     }
 }
@@ -236,32 +148,34 @@ impl ForwarderConfig {
     }
 }
 
+/// Dead Nonce List capacity: the newest this many retired (name, nonce)
+/// pairs are remembered.
+const DNL_CAPACITY: usize = 8192;
+
+/// Decayed verification-failure strike count at which an ingress face is
+/// quarantined: while at or above this, the face is skipped as a next hop
+/// whenever an alternate exists (`ndn.quarantine_skips`).
+const QUARANTINE_THRESHOLD: f64 = 3.0;
+
+/// Half-life of the decaying strike counter: a face that stops failing
+/// verification re-earns trust on this timescale.
+const QUARANTINE_HALFLIFE: lidc_simcore::time::SimDuration =
+    lidc_simcore::time::SimDuration::from_secs(30);
+
 /// Dead Nonce List: remembers (name, nonce) pairs of satisfied/expired
-/// Interests so late loops are detected. FIFO-bounded.
+/// Interests so late loops are detected. FIFO-bounded at [`DNL_CAPACITY`].
 #[derive(Debug, Default)]
 struct DeadNonceList {
     set: FxHashSet<(Name, u32)>,
     order: VecDeque<(Name, u32)>,
-    capacity: usize,
 }
 
 impl DeadNonceList {
-    fn new(capacity: usize) -> Self {
-        DeadNonceList {
-            set: FxHashSet::default(),
-            order: VecDeque::new(),
-            capacity,
-        }
-    }
-
     fn insert(&mut self, name: Name, nonce: u32) {
-        if self.capacity == 0 {
-            return;
-        }
         let key = (name, nonce);
         if self.set.insert(key.clone()) {
             self.order.push_back(key);
-            while self.order.len() > self.capacity {
+            while self.order.len() > DNL_CAPACITY {
                 if let Some(old) = self.order.pop_front() {
                     self.set.remove(&old);
                 }
@@ -316,7 +230,7 @@ pub struct Forwarder {
     /// Decaying per-face verification-failure strikes:
     /// `face → (strike count at last update, last update instant)`. Point
     /// lookups only — never iterated — so map order cannot leak into
-    /// behavior. See [`ForwarderConfig::quarantine_threshold`].
+    /// behavior. See [`QUARANTINE_THRESHOLD`].
     quarantine: FxHashMap<FaceId, (f64, SimTime)>,
 }
 
@@ -333,7 +247,7 @@ impl Forwarder {
                 budget_bytes: config.cs_budget_bytes,
                 ..Default::default()
             }),
-            dnl: DeadNonceList::new(config.dnl_capacity),
+            dnl: DeadNonceList::default(),
             strategies: vec![(Name::root(), Box::new(BestRoute::new()))],
             pit_match_scratch: Vec::new(),
             tx_buckets: Vec::new(),
@@ -348,7 +262,7 @@ impl Forwarder {
         &self.label
     }
 
-    /// Add a face (pre-run topology building or via [`AddFace`]).
+    /// Add a face (pre-run topology building).
     pub fn add_face(&mut self, face: Face) {
         self.faces.insert(face.id, face);
     }
@@ -399,14 +313,14 @@ impl Forwarder {
             return 0.0;
         };
         let dt = now.since(*at).as_secs_f64();
-        let halflife = self.config.quarantine_halflife.as_secs_f64().max(1e-9);
+        let halflife = QUARANTINE_HALFLIFE.as_secs_f64().max(1e-9);
         count * 0.5f64.powf(dt / halflife)
     }
 
     /// True while `face`'s decayed strikes sit at or above the quarantine
     /// threshold (public for tests/diagnostics).
     pub fn is_quarantined(&self, face: FaceId, now: SimTime) -> bool {
-        self.decayed_strikes(face, now) >= self.config.quarantine_threshold
+        self.decayed_strikes(face, now) >= QUARANTINE_THRESHOLD
     }
 
     /// Record one verification-failure strike against an ingress face.
@@ -496,19 +410,18 @@ impl Forwarder {
                 }
                 // Corruption: one draw decides *whether* the packet is
                 // damaged (no draw at all while the link is healthy, so
-                // seeded runs without corruption faults are unchanged);
-                // the mode decides what the damage looks like. BitFlip
-                // draws one extra u64 to pick the bit — only on the
-                // already-rare corrupting branch.
+                // seeded runs without corruption faults are unchanged).
+                // A damaged Data draws one extra u64 to pick the bit to
+                // flip — only on the already-rare corrupting branch.
                 let mut packet = packet;
                 if props.corrupt > 0.0 && ctx.rng().next_bool(props.corrupt) {
-                    let flipped = match (&self.config.corruption, &mut packet) {
-                        (CorruptionMode::BitFlip, Packet::Data(data)) => {
+                    let flipped = match &mut packet {
+                        Packet::Data(data) => {
                             let bit = ctx.rng().next_u64();
                             data.flip_bit(bit)
                         }
-                        // Drop mode, Interests, Nacks, and unflippable Data
-                        // all fall back to the link-level drop.
+                        // Interests, Nacks and unflippable Data fall back
+                        // to the link-level drop.
                         _ => false,
                     };
                     if flipped {
@@ -762,7 +675,7 @@ impl Forwarder {
         // Verify gate, *before* CS admission and PIT satisfaction: an
         // unverifiable Data is never cached and never consumes the PIT
         // entries it targeted.
-        if self.config.verify_data && !data.verify(None) {
+        if !data.verify(None) {
             let poisoned = !keys.is_empty();
             keys.clear();
             self.pit_match_scratch = keys;
@@ -1027,21 +940,6 @@ impl Forwarder {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<AddFace>() {
-            Ok(f) => {
-                self.add_face(f.face);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RemoveFace>() {
-            Ok(f) => {
-                self.faces.remove(&f.face);
-                self.fib.remove_face(f.face);
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.downcast::<SetFaceUp>() {
             Ok(s) => {
                 let was_up = match self.faces.get_mut(&s.face) {
@@ -1059,7 +957,7 @@ impl Forwarder {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<DegradeLink>() {
+        match msg.downcast::<DegradeLink>() {
             Ok(d) => {
                 if let Some(face) = self.faces.get_mut(&d.face) {
                     if let FaceKind::Link { props, .. } = &mut face.kind {
@@ -1068,28 +966,6 @@ impl Forwarder {
                         props.corrupt = d.corrupt;
                     }
                 }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RegisterPrefix>() {
-            Ok(r) => {
-                self.register_prefix(r.prefix, r.face, r.cost);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<UnregisterPrefix>() {
-            Ok(u) => {
-                self.unregister_prefix(&u.prefix, u.face);
-                return;
-            }
-            Err(m) => m,
-        };
-        match msg.downcast::<SetStrategy>() {
-            Ok(s) => {
-                let s = *s;
-                self.set_strategy(s.prefix, s.strategy);
             }
             Err(_) => {
                 ctx.metrics().incr("ndn.unknown_message", 1);

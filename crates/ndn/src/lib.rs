@@ -3,7 +3,7 @@
 //! A from-scratch NDN implementation sufficient to reproduce the LIDC
 //! paper's network layer (DESIGN.md §2: the NFD substitution):
 //!
-//! * [`name`] — hierarchical names with URI parse/print and canonical order.
+//! * [`mod@name`] — hierarchical names with URI parse/print and canonical order.
 //! * [`tlv`] — the NDN v0.3 Type-Length-Value wire encoding.
 //! * [`packet`] — Interest / Data / NACK packets with signatures.
 //! * [`crypto`] — SHA-256 and HMAC-SHA256 (no external crypto crates), on
@@ -57,10 +57,7 @@ pub mod tlv;
 pub mod prelude {
     pub use crate::app::{Consumer, ConsumerEvent, Producer, RetxTimer};
     pub use crate::face::{Face, FaceId, FaceIdAlloc, FaceKind, LinkProps};
-    pub use crate::forwarder::{
-        AddFace, AppRx, DegradeLink, Forwarder, ForwarderConfig, RegisterPrefix, RemoveFace, Rx,
-        SetFaceUp, SetStrategy, UnregisterPrefix,
-    };
+    pub use crate::forwarder::{AppRx, DegradeLink, Forwarder, ForwarderConfig, Rx, SetFaceUp};
     pub use crate::name::{Name, NameComponent};
     pub use crate::packet::{
         ContentType, Data, Interest, Nack, NackReason, Packet, Signature, SignatureType,

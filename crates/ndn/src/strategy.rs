@@ -46,9 +46,6 @@ pub struct StrategyCtx<'a> {
 
 /// A forwarding strategy. Implementations keep their own per-prefix state.
 pub trait Strategy: Send + 'static {
-    /// Human-readable strategy name (diagnostics).
-    fn strategy_name(&self) -> &'static str;
-
     /// Choose the outgoing faces for an Interest. Empty means "no usable
     /// route" and the forwarder NACKs the requester.
     fn select(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<FaceId>;
@@ -75,10 +72,6 @@ impl BestRoute {
 }
 
 impl Strategy for BestRoute {
-    fn strategy_name(&self) -> &'static str {
-        "best-route"
-    }
-
     fn select(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<FaceId> {
         if ctx.nexthops.is_empty() {
             return Vec::new();
@@ -105,10 +98,6 @@ impl Multicast {
 }
 
 impl Strategy for Multicast {
-    fn strategy_name(&self) -> &'static str {
-        "multicast"
-    }
-
     fn select(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<FaceId> {
         ctx.nexthops.iter().map(|nh| nh.face).collect()
     }
@@ -128,10 +117,6 @@ impl RoundRobin {
 }
 
 impl Strategy for RoundRobin {
-    fn strategy_name(&self) -> &'static str {
-        "round-robin"
-    }
-
     fn select(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<FaceId> {
         if ctx.nexthops.is_empty() {
             return Vec::new();
@@ -196,10 +181,6 @@ impl RttEstimating {
 }
 
 impl Strategy for RttEstimating {
-    fn strategy_name(&self) -> &'static str {
-        "rtt-estimating"
-    }
-
     fn select(&mut self, ctx: &mut StrategyCtx<'_>) -> Vec<FaceId> {
         if ctx.nexthops.is_empty() {
             return Vec::new();

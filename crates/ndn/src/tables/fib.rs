@@ -116,15 +116,6 @@ impl Fib {
         }
     }
 
-    /// Remove every next hop through `face` (face destruction).
-    pub fn remove_face(&mut self, face: FaceId) {
-        let mut prefixes: Vec<Name> = self.entries.keys().cloned().collect();
-        prefixes.sort_unstable();
-        for p in prefixes {
-            self.remove_nexthop(&p, face);
-        }
-    }
-
     /// Remove an entire entry. Returns true if it existed.
     pub fn remove_entry(&mut self, prefix: &Name) -> bool {
         let removed = self.entries.remove(prefix).is_some();
@@ -235,18 +226,6 @@ mod tests {
         assert!(fib.entry(&name!("/a")).is_none());
         assert!(!fib.remove_nexthop(&name!("/a"), f(1)));
         assert!(fib.is_empty());
-    }
-
-    #[test]
-    fn remove_face_sweeps_all_entries() {
-        let mut fib = Fib::new();
-        fib.add_nexthop(name!("/a"), f(1), 10);
-        fib.add_nexthop(name!("/a"), f(2), 10);
-        fib.add_nexthop(name!("/b"), f(1), 10);
-        fib.remove_face(f(1));
-        assert_eq!(fib.entry(&name!("/a")).unwrap().nexthops[0].face, f(2));
-        assert!(fib.entry(&name!("/b")).is_none());
-        assert_eq!(fib.len(), 1);
     }
 
     /// Naive reference implementation for the property test.

@@ -313,22 +313,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn fib_remove_face_purges_every_nexthop(
-        routes in proptest::collection::vec((arb_text_name(), 0u64..4), 1..20),
-    ) {
-        let mut fib = Fib::new();
-        for (prefix, face) in &routes {
-            fib.add_nexthop(prefix.clone(), FaceId::from_raw(*face), 0);
-        }
-        let victim = FaceId::from_raw(routes[0].1);
-        fib.remove_face(victim);
-        for entry in fib.iter() {
-            prop_assert!(entry.nexthops.iter().all(|nh| nh.face != victim));
-            prop_assert!(!entry.nexthops.is_empty(), "empty entries are dropped");
-        }
-    }
 }
 
 // --- PIT aggregation invariants ---------------------------------------------

@@ -9,7 +9,8 @@
 //! 1. **The schedule is pre-generated, never drawn during the run.** A
 //!    [`FaultSchedule`] is either built explicitly or generated from a
 //!    *dedicated RNG stream* derived from the master seed (e.g.
-//!    `DetRng::new(seed).derive_str("faults")`). [`DetRng::derive_str`] does
+//!    `DetRng::new(seed).derive_str("faults")`).
+//!    [`DetRng::derive_str`](crate::rng::DetRng::derive_str) does
 //!    not advance the parent, so the fault stream is decorrelated from — and
 //!    independent of the consumption order of — every other stream in the
 //!    simulation. The same seed therefore yields the same schedule no matter
@@ -28,9 +29,8 @@
 //! [`FaultKind`] to forwarders, API servers, or gateways is delegated to a
 //! [`FaultHook`] closure supplied by the scenario harness, which maps each
 //! kind onto the control messages of the world it built (face up/down,
-//! node-ready flips, link degradation, FIB mutation, …). The controller owns
-//! the *when* (timing, flapping, healing, metrics, the timeline); the hook
-//! owns the *how*.
+//! node-ready flips, link degradation, …). The controller owns the *when*
+//! (timing, healing, metrics, the timeline); the hook owns the *how*.
 
 use std::fmt;
 
@@ -70,28 +70,10 @@ pub enum FaultKind {
         /// Additional loss probability added to the link's base loss.
         extra_loss: f64,
     },
-    /// A producer (gateway/cluster) slows down: its link latency is
-    /// multiplied without any loss, modelling an overloaded endpoint.
-    SlowProducer {
-        /// Producer label (cluster name).
-        producer: String,
-        /// Latency multiplier (≥ 1.0).
-        factor: f64,
-    },
-    /// Routing goes stale: a prefix advertisement for one cluster is
-    /// withdrawn without the cluster actually dying.
-    StaleFib {
-        /// The prefix whose route goes stale.
-        prefix: String,
-        /// Cluster whose advertisement is withdrawn.
-        cluster: String,
-    },
     /// A link corrupts a fraction of packets in flight. How a corrupted
-    /// packet manifests is the receiving stack's choice: the NDN layer's
-    /// legacy mode drops it *at the link* (an idealization), while its
-    /// bit-flip mode delivers the damaged bytes downstream so signature
-    /// verification catches them at the first verify point (see
-    /// docs/INTEGRITY.md).
+    /// packet manifests is the receiving stack's choice: the NDN layer
+    /// delivers a damaged Data downstream so signature verification
+    /// catches it at the first verify point (see docs/INTEGRITY.md).
     PacketCorrupt {
         /// Link label.
         link: String,
@@ -128,8 +110,6 @@ impl FaultKind {
             FaultKind::NodeCrash { .. } => "fault.node_crash",
             FaultKind::LinkDown { .. } => "fault.link_down",
             FaultKind::LinkDegrade { .. } => "fault.link_degrade",
-            FaultKind::SlowProducer { .. } => "fault.slow_producer",
-            FaultKind::StaleFib { .. } => "fault.stale_fib",
             FaultKind::PacketCorrupt { .. } => "fault.packet_corrupt",
             FaultKind::ByzantineProducer { .. } => "fault.byzantine_producer",
             FaultKind::RegionOutage { .. } => "fault.region_outage",
@@ -145,12 +125,6 @@ impl fmt::Display for FaultKind {
             FaultKind::LinkDown { link } => write!(f, "link-down({link})"),
             FaultKind::LinkDegrade { link, latency_factor, extra_loss } => {
                 write!(f, "link-degrade({link} x{latency_factor} +loss={extra_loss})")
-            }
-            FaultKind::SlowProducer { producer, factor } => {
-                write!(f, "slow-producer({producer} x{factor})")
-            }
-            FaultKind::StaleFib { prefix, cluster } => {
-                write!(f, "stale-fib({prefix} @ {cluster})")
             }
             FaultKind::PacketCorrupt { link, probability } => {
                 write!(f, "packet-corrupt({link} p={probability})")
@@ -183,17 +157,13 @@ impl fmt::Display for FaultAction {
     }
 }
 
-/// One timed fault: when it starts, how long it lasts, whether it flaps.
+/// One timed fault: when it starts and how long it lasts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// Offset from [`StartFaults`] at which the fault is injected.
     pub at: SimDuration,
     /// How long the fault persists before it is healed; `None` = permanent.
     pub duration: Option<SimDuration>,
-    /// When set, the fault *flaps*: it toggles between injected and healed
-    /// every `flap_period` for the whole `duration` (ignored when the fault
-    /// is permanent). Models an unstable link rather than a clean cut.
-    pub flap_period: Option<SimDuration>,
     /// What breaks.
     pub kind: FaultKind,
 }
@@ -201,48 +171,22 @@ pub struct FaultEvent {
 impl FaultEvent {
     /// A fault injected at `at` and never healed.
     pub fn permanent(at: SimDuration, kind: FaultKind) -> Self {
-        FaultEvent { at, duration: None, flap_period: None, kind }
+        FaultEvent { at, duration: None, kind }
     }
 
     /// A fault injected at `at` and healed after `duration`.
     pub fn transient(at: SimDuration, duration: SimDuration, kind: FaultKind) -> Self {
-        FaultEvent { at, duration: Some(duration), flap_period: None, kind }
-    }
-
-    /// A flapping fault: toggles every `flap_period` within `duration`.
-    pub fn flapping(
-        at: SimDuration,
-        duration: SimDuration,
-        flap_period: SimDuration,
-        kind: FaultKind,
-    ) -> Self {
-        FaultEvent { at, duration: Some(duration), flap_period: Some(flap_period), kind }
+        FaultEvent { at, duration: Some(duration), kind }
     }
 
     /// The individual `(offset, action)` firings this event expands to,
-    /// in chronological order. A transient fault yields an inject and a
-    /// heal; a flapping fault yields the full toggle train, always ending
-    /// healed at `at + duration`.
+    /// in chronological order: an inject, then for a transient fault a
+    /// heal at `at + duration`.
     pub fn firings(&self) -> Vec<(SimDuration, FaultAction)> {
         let mut out = vec![(self.at, FaultAction::Inject)];
-        let Some(duration) = self.duration else {
-            return out;
-        };
-        let end = self.at + duration;
-        if let Some(period) = self.flap_period {
-            if !period.is_zero() {
-                let mut t = self.at + period;
-                let mut injected = true;
-                while t < end {
-                    injected = !injected;
-                    out.push((t, if injected { FaultAction::Inject } else { FaultAction::Heal }));
-                    t += period;
-                }
-            }
+        if let Some(duration) = self.duration {
+            out.push((self.at + duration, FaultAction::Heal));
         }
-        // Always end healed at the boundary (the flap loop stops strictly
-        // before `end`, so this never duplicates a firing).
-        out.push((end, FaultAction::Heal));
         out
     }
 }
@@ -253,9 +197,6 @@ impl fmt::Display for FaultEvent {
         match self.duration {
             Some(d) => write!(f, "for {} ", d)?,
             None => write!(f, "permanent ")?,
-        }
-        if let Some(p) = self.flap_period {
-            write!(f, "flap {} ", p)?;
         }
         write!(f, "{}", self.kind)
     }
@@ -448,8 +389,9 @@ impl Default for ChaosProfile {
 
 /// Scenario-supplied applicator: maps a [`FaultKind`] onto the control
 /// messages of the world the scenario built. Must be **idempotent** (a heal
-/// of an already-healthy target, or a re-inject during a flap, is a no-op)
-/// because flap trains can fire the same action twice at boundaries.
+/// of an already-healthy target, or a re-inject of an already-broken one,
+/// is a no-op) because events may overlap: two events can cover the same
+/// target, so it can be injected twice before the first heal fires.
 pub type FaultHook = Box<dyn FnMut(&FaultKind, FaultAction, &mut Ctx<'_>) + Send>;
 
 /// Kick off a deployed [`FaultController`]'s schedule. All fault timers are
@@ -464,7 +406,7 @@ struct Fire {
 
 /// The actor that applies and heals faults per a [`FaultSchedule`].
 ///
-/// On [`StartFaults`] it expands every event into its firing train and
+/// On [`StartFaults`] it expands every event into its firings and
 /// schedules each firing as a background timer to itself; each firing calls
 /// the [`FaultHook`], bumps `fault.injected` / `fault.healed` plus the
 /// per-kind counter, and appends to the timeline.
@@ -565,24 +507,6 @@ mod tests {
     fn permanent_fault_never_heals() {
         let e = FaultEvent::permanent(SimDuration::from_secs(1), outage("a"));
         assert_eq!(e.firings(), vec![(SimDuration::from_secs(1), FaultAction::Inject)]);
-    }
-
-    #[test]
-    fn flapping_fault_toggles_and_ends_healed() {
-        let e = FaultEvent::flapping(
-            SimDuration::from_secs(0),
-            SimDuration::from_secs(10),
-            SimDuration::from_secs(3),
-            outage("a"),
-        );
-        let f = e.firings();
-        assert_eq!(f.first().unwrap().1, FaultAction::Inject);
-        assert_eq!(*f.last().unwrap(), (SimDuration::from_secs(10), FaultAction::Heal));
-        // 0:inject, 3:heal, 6:inject, 9:heal, 10:heal(final)
-        assert_eq!(f.len(), 5);
-        for pair in f.windows(2) {
-            assert!(pair[0].0 <= pair[1].0, "chronological");
-        }
     }
 
     #[test]

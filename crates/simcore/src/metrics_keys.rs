@@ -42,10 +42,6 @@ pub const FAULT_LINK_DOWN: &str = "fault.link_down";
 /// See [`FAULT_CLUSTER_OUTAGE`].
 pub const FAULT_LINK_DEGRADE: &str = "fault.link_degrade";
 /// See [`FAULT_CLUSTER_OUTAGE`].
-pub const FAULT_SLOW_PRODUCER: &str = "fault.slow_producer";
-/// See [`FAULT_CLUSTER_OUTAGE`].
-pub const FAULT_STALE_FIB: &str = "fault.stale_fib";
-/// See [`FAULT_CLUSTER_OUTAGE`].
 pub const FAULT_PACKET_CORRUPT: &str = "fault.packet_corrupt";
 /// See [`FAULT_CLUSTER_OUTAGE`].
 pub const FAULT_BYZANTINE_PRODUCER: &str = "fault.byzantine_producer";
@@ -102,7 +98,8 @@ pub const NDN_FACE_DOWN_NACKED: &str = "ndn.face_down_nacked";
 pub const NDN_FACE_DOWN_REROUTED: &str = "ndn.face_down_rerouted";
 /// Packets dropped by link-loss fault injection.
 pub const NDN_LINK_LOSS_DROPS: &str = "ndn.link_loss_drops";
-/// Packets dropped by link-corruption fault injection (legacy drop mode).
+/// Interests, Nacks and unflippable Data dropped by link-corruption fault
+/// injection.
 pub const NDN_LINK_CORRUPT_DROPS: &str = "ndn.link_corrupt_drops";
 /// Data packets bit-flipped in flight by link-corruption fault injection
 /// (honest mode: the damage travels downstream until verification).
@@ -188,8 +185,6 @@ pub const ALL: &[&str] = &[
     FAULT_NODE_CRASH,
     FAULT_LINK_DOWN,
     FAULT_LINK_DEGRADE,
-    FAULT_SLOW_PRODUCER,
-    FAULT_STALE_FIB,
     FAULT_PACKET_CORRUPT,
     FAULT_BYZANTINE_PRODUCER,
     FAULT_REGION_OUTAGE,

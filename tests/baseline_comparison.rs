@@ -40,7 +40,7 @@ fn central_and_lidc_equivalent_when_healthy() {
     let router = sim.spawn("router", Forwarder::new("router", ForwarderConfig::default()));
     let controller = CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);
     for name in ["a", "b"] {
-        let c = Cluster::spawn(&mut sim, ClusterConfig::named(name));
+        let c = Cluster::spawn(&mut sim, name);
         c.add_node(&mut sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
         CentralController::add_member(&mut sim, controller, name, c);
     }
@@ -62,7 +62,7 @@ fn controller_death_vs_cluster_death() {
     let router = sim.spawn("router", Forwarder::new("router", ForwarderConfig::default()));
     let controller = CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);
     for name in ["a", "b", "c"] {
-        let c = Cluster::spawn(&mut sim, ClusterConfig::named(name));
+        let c = Cluster::spawn(&mut sim, name);
         c.add_node(&mut sim, Node::new(format!("{name}-n0"), Resources::new(16, 64)));
         CentralController::add_member(&mut sim, controller, name, c);
     }
@@ -135,9 +135,9 @@ fn central_global_view_places_on_idle_member() {
     let router = sim.spawn("router", Forwarder::new("router", ForwarderConfig::default()));
     let controller =
         CentralController::new(CentralPolicy::GlobalLeastLoaded).deploy(&mut sim, router, &alloc);
-    let busy = Cluster::spawn(&mut sim, ClusterConfig::named("busy"));
+    let busy = Cluster::spawn(&mut sim, "busy");
     busy.add_node(&mut sim, Node::new("busy-n0", Resources::new(4, 16)));
-    let idle = Cluster::spawn(&mut sim, ClusterConfig::named("idle"));
+    let idle = Cluster::spawn(&mut sim, "idle");
     idle.add_node(&mut sim, Node::new("idle-n0", Resources::new(16, 64)));
     CentralController::add_member(&mut sim, controller, "busy", busy.clone());
     CentralController::add_member(&mut sim, controller, "idle", idle);
@@ -177,7 +177,7 @@ fn baseline_resubmissions_are_counted() {
     let alloc = FaceIdAlloc::new();
     let router = sim.spawn("router", Forwarder::new("router", ForwarderConfig::default()));
     let controller = CentralController::new(CentralPolicy::RoundRobin).deploy(&mut sim, router, &alloc);
-    let c = Cluster::spawn(&mut sim, ClusterConfig::named("a"));
+    let c = Cluster::spawn(&mut sim, "a");
     c.add_node(&mut sim, Node::new("a-n0", Resources::new(16, 64)));
     CentralController::add_member(&mut sim, controller, "a", c);
     let config = ClientConfig::default();

@@ -125,7 +125,7 @@ fn infeasible_resources_rejected_at_admission() {
 #[test]
 fn failing_pod_exhausts_backoff_and_reports() {
     let mut sim = Sim::new(400);
-    let k8s = Cluster::spawn(&mut sim, ClusterConfig::named("t"));
+    let k8s = Cluster::spawn(&mut sim, "t");
     k8s.add_node(&mut sim, Node::new("n0", Resources::new(8, 32)));
     let spec = PodSpec::single(ContainerSpec {
         name: "crashy".into(),

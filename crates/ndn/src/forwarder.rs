@@ -313,8 +313,7 @@ impl Forwarder {
             return 0.0;
         };
         let dt = now.since(*at).as_secs_f64();
-        let halflife = QUARANTINE_HALFLIFE.as_secs_f64().max(1e-9);
-        count * 0.5f64.powf(dt / halflife)
+        count * 0.5f64.powf(dt / QUARANTINE_HALFLIFE.as_secs_f64())
     }
 
     /// True while `face`'s decayed strikes sit at or above the quarantine
